@@ -13,7 +13,7 @@ from itertools import combinations
 from math import comb, factorial
 
 from .fields import QQ, Field, InvalidFieldError
-from .linalg import IntEchelon, int_scaled
+from .linalg import Echelon, axpy
 
 
 def _wedge_insert(mono: tuple[int, ...], x: int) -> tuple[int, tuple[int, ...]] | None:
@@ -31,6 +31,7 @@ def wedge_pair_columns(n: int, i: int, fld: Field = QQ):
     target_index = {m: k for k, m in enumerate(combinations(range(2 * n), i + 2))}
     cols = []
     for mono in combinations(range(2 * n), i):
+        # distinct j give distinct target monomials: no entries collide
         col: dict[int, object] = {}
         for j in range(n):
             first = _wedge_insert(mono, n + j)      # f_j first,
@@ -41,13 +42,7 @@ def wedge_pair_columns(n: int, i: int, fld: Field = QQ):
             if second is None:
                 continue
             s2, m2 = second
-            idx = target_index[m2]
-            val = fld.of(s1 * s2)
-            acc = fld.add(col.get(idx, fld.zero()), val)
-            if fld.is_zero(acc):
-                col.pop(idx, None)
-            else:
-                col[idx] = acc
+            col[target_index[m2]] = fld.of(s1 * s2)
         cols.append(col)
     return cols
 
@@ -56,47 +51,27 @@ def exterior_mult_rank(n: int, i: int, fld: Field = QQ) -> tuple[int, bool]:
     """Exact rank of w: Lambda_i -> Lambda_{i+2}, and whether it is maximal."""
     if not 0 <= i <= 2 * n - 2:
         raise ValueError("need 0 <= i <= 2n-2")
-    ech = IntEchelon(fld.p)
+    ech = Echelon(fld.p)
     for col in wedge_pair_columns(n, i, fld):
-        ech.insert(int_scaled(col, fld))
+        ech.insert(col)
     dims = (comb(2 * n, i), comb(2 * n, i + 2))
-    return ech.rank, ech.rank == min(dims)
+    return ech.dimension, ech.dimension == min(dims)
 
 
 # -- square-zero symmetric polynomial identity --------------------------------
 
-def _elementary_symmetric(var_indices, k: int, fld: Field):
+def _elementary_symmetric(var_indices, k: int):
     """s_k over square-zero variables: dict frozenset -> coefficient."""
     if k < 0 or k > len(var_indices):
         return {}
-    if k == 0:
-        return {frozenset(): fld.one()}
-    return {frozenset(c): fld.one() for c in combinations(var_indices, k)}
+    return {frozenset(c): 1 for c in combinations(var_indices, k)}
 
 
-def _sq_mul(a: dict, b: dict, fld: Field) -> dict:
+def _sq_mul(a: dict, b: dict, p: int | None) -> dict:
     out: dict[frozenset, object] = {}
     for ka, ca in a.items():
-        for kb, cb in b.items():
-            if ka & kb:
-                continue  # squares vanish
-            key = ka | kb
-            val = fld.add(out.get(key, fld.zero()), fld.mul(ca, cb))
-            if fld.is_zero(val):
-                out.pop(key, None)
-            else:
-                out[key] = val
-    return out
-
-
-def _sq_add(a: dict, b: dict, fld: Field) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        val = fld.add(out.get(k, fld.zero()), c)
-        if fld.is_zero(val):
-            out.pop(k, None)
-        else:
-            out[k] = val
+        # squares vanish; for fixed ka the products ka | kb are distinct
+        axpy(out, ca, {ka | kb: cb for kb, cb in b.items() if not ka & kb}, p)
     return out
 
 
@@ -111,22 +86,19 @@ def symmetric_identity_check(u_count: int, v_count: int, d: int,
     """
     if 0 < fld.char <= d + 1:
         raise InvalidFieldError(f"identity at d={d} needs characteristic 0 or > {d + 1}")
+    p = fld.p
     xs = tuple(range(u_count))
     ys = tuple(range(u_count, u_count + v_count))
-    s1 = _sq_add(_elementary_symmetric(xs, 1, fld), _elementary_symmetric(ys, 1, fld), fld)
+    s1 = {**_elementary_symmetric(xs, 1), **_elementary_symmetric(ys, 1)}
     acc: dict[frozenset, object] = {}
     for k in range(d + 1):
-        c = fld.of((-1) ** k * factorial(k) * factorial(d - k))
-        term = _sq_mul(_elementary_symmetric(xs, k, fld),
-                       _elementary_symmetric(ys, d - k, fld), fld)
-        acc = _sq_add(acc, {key: fld.mul(c, val) for key, val in term.items()}, fld)
-    lhs = _sq_mul(s1, acc, fld)
-    c = fld.of(factorial(d + 1))
-    rhs = {key: fld.mul(c, val)
-           for key, val in _elementary_symmetric(ys, d + 1, fld).items()}
-    sx = _elementary_symmetric(xs, d + 1, fld)
-    sc = fld.of((-1) ** d * factorial(d + 1))
-    rhs = _sq_add(rhs, {key: fld.mul(sc, val) for key, val in sx.items()}, fld)
+        c = (-1) ** k * factorial(k) * factorial(d - k)
+        axpy(acc, c, _sq_mul(_elementary_symmetric(xs, k),
+                             _elementary_symmetric(ys, d - k), p), p)
+    lhs = _sq_mul(s1, acc, p)
+    rhs: dict[frozenset, object] = {}
+    axpy(rhs, factorial(d + 1), _elementary_symmetric(ys, d + 1), p)
+    axpy(rhs, (-1) ** d * factorial(d + 1), _elementary_symmetric(xs, d + 1), p)
     return lhs == rhs
 
 
@@ -146,7 +118,7 @@ def _ideal_piece_dim(n: int, pairs, a: int, b: int, fld: Field) -> int:
     if a < 1 or b < 1 or a > n or b > n:
         return 0
     index = {m: k for k, m in enumerate(_bigraded_basis(n, a, b))}
-    ech = IntEchelon(fld.p)
+    ech = Echelon(fld.p)
     for (i, j) in pairs:
         for mu in _bigraded_basis(n, a - 1, b - 1):
             first = _wedge_insert(mu, n + j)
@@ -157,8 +129,8 @@ def _ideal_piece_dim(n: int, pairs, a: int, b: int, fld: Field) -> int:
             if second is None:
                 continue
             s2, m2 = second
-            ech.insert(int_scaled({index[m2]: fld.of(s1 * s2)}, fld))
-    return ech.rank
+            ech.insert({index[m2]: s1 * s2})
+    return ech.dimension
 
 
 def gl_ext_module_candidates(n: int, fld: Field = QQ) -> dict:

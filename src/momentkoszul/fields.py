@@ -1,8 +1,9 @@
 """Exact coefficient fields: arbitrary-precision rationals and odd prime fields.
 
-Rational elements are `fractions.Fraction`; prime-field elements are plain
-ints in ``range(p)``.  A field object only bundles the arithmetic; vectors and
-matrices elsewhere store raw elements and pass the field alongside.
+Rational elements are plain ints when integral and `fractions.Fraction`
+otherwise; prime-field elements are plain ints in ``range(p)``.  A field
+object only bundles the arithmetic; vectors and matrices elsewhere store raw
+elements and pass the field alongside.
 """
 
 from __future__ import annotations
@@ -15,15 +16,43 @@ class InvalidFieldError(ValueError):
     """A field violates a characteristic guard of the requested computation."""
 
 
+#: Moduli at or above this bound are refused: the Miller-Rabin bases below
+#: are proven deterministic only up to about 3.3e24.
+MAX_MODULUS = 2 ** 64
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin on the first 12 prime bases (p < 2**64)."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+def _rational(a):
+    """A rational as a plain int when integral, else as a Fraction."""
+    if isinstance(a, int):
+        return a
+    a = Fraction(a)
+    return a.numerator if a.denominator == 1 else a
 
 
 @dataclass(frozen=True)
@@ -34,6 +63,8 @@ class Field:
 
     def __post_init__(self):
         if self.p is not None:
+            if self.p >= MAX_MODULUS:
+                raise InvalidFieldError(f"modulus must be below 2**64, got {self.p}")
             if not _is_prime(self.p) or self.p < 3:
                 raise InvalidFieldError(f"modulus must be a prime >= 3, got {self.p}")
 
@@ -44,7 +75,7 @@ class Field:
     def of(self, a):
         """Embed an integer (or Fraction, for the rationals) into the field."""
         if self.p is None:
-            return Fraction(a)
+            return _rational(a)
         if isinstance(a, Fraction):
             num = a.numerator % self.p
             den = a.denominator % self.p
@@ -54,10 +85,10 @@ class Field:
         return a % self.p
 
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return 1
 
     def add(self, a, b):
         return a + b if self.p is None else (a + b) % self.p
@@ -73,7 +104,7 @@ class Field:
 
     def inv(self, a):
         if self.p is None:
-            return 1 / Fraction(a)
+            return _rational(1 / Fraction(a))
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)

@@ -1,26 +1,23 @@
-"""Exact linear algebra: fraction-free echelon forms, ranks, kernels, RREF.
+"""Exact sparse linear algebra: one accumulate helper and one eliminator.
 
-Two engines, both deterministic:
+A vector is a dict ``index -> value`` holding only nonzero entries.  Values
+are field elements: over QQ plain ints, with a ``Fraction`` only where a value
+is not integral; over F_p ints in ``range(p)``.  The routines take the
+modulus ``p`` (None for QQ) instead of a ``Field``, so the inner loops do
+plain int arithmetic with no method call per scalar.
 
-* ``IntEchelon``: rank (and optionally kernel) of a family of sparse vectors.
-  Over the rationals the rows are kept as integer dicts; elimination uses
-  gcd-scaled cross-multiplication, so no Fraction ever enters the hot loop.
-  Over F_p the rows are int dicts mod p.  Vectors are dicts ``index -> value``
-  and the pivot of a row is its smallest index, which makes the computed rank
-  independent of insertion order.
-
-* ``RREFSubspace``: fully reduced row-echelon form over the field.  The
-  reduced rows are the canonical representative of the subspace, so two spans
-  are equal iff their ``RREFSubspace`` contents are equal.  Used for ideal
-  pieces, quotient-basis sections and minimal-generator selection, which are
-  all small; the big Koszul-differential ranks go through ``IntEchelon``.
+* ``axpy(acc, c, vec, p)`` adds ``c * vec`` to ``acc`` in place.
+* ``Echelon(p)`` keeps the row space of the vectors inserted into it.  Each
+  row is keyed by its smallest index (its pivot) and scaled to pivot 1, so
+  the rank and the pivot set do not depend on insertion order.  Insertion
+  reduces forward only; ``reduce`` and ``canonical_rows`` back-substitute once,
+  on demand, to the reduced row-echelon form, which is a canonical invariant
+  of the subspace for the fixed index order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
 from .fields import QQ, Field
 
@@ -29,264 +26,159 @@ class InvalidInputError(ValueError):
     """Structurally invalid input (mismatched ambients, shapes, ...)."""
 
 
-def int_scaled(vec: dict, fld: Field) -> dict[int, int]:
-    """Convert a sparse vector with field coefficients to integer entries.
+def axpy(acc: dict, c, vec: dict, p: int | None = None) -> dict:
+    """``acc += c * vec`` in place, reduced mod p when p is set; returns acc.
 
-    Over QQ this clears denominators (the row spans the same line); over F_p
-    values are already ints mod p.
+    Entries that cancel are removed, so ``acc`` stays sparse.  The entries of
+    ``vec`` must be nonzero field elements.
     """
-    if fld.p is not None:
-        out = {}
-        for j, x in vec.items():
-            x = fld.of(x)
-            if x:
-                out[j] = x
-        return out
-    lcm = 1
-    for x in vec.values():
-        d = Fraction(x).denominator
-        lcm = lcm * d // gcd(lcm, d)
-    out = {}
-    for j, x in vec.items():
-        x = Fraction(x)
-        n = x.numerator * (lcm // x.denominator)
-        if n:
-            out[j] = n
-    return out
+    if p is not None:
+        c %= p
+    if not c:
+        return acc
+    get = acc.get
+    if p is None:
+        for k, x in vec.items():
+            y = get(k, 0) + c * x
+            if y:
+                acc[k] = y
+            else:
+                del acc[k]
+    else:
+        for k, x in vec.items():
+            y = (get(k, 0) + c * x) % p
+            if y:
+                acc[k] = y
+            else:
+                del acc[k]
+    return acc
 
 
-def _normalize_int_row(vec: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for x in vec.values():
-        g = gcd(g, x)
-    if g == 0:
-        return {}
-    if vec[min(vec)] < 0:
-        g = -g
-    return {j: x // g for j, x in vec.items()}
+class Echelon:
+    """Row-echelon form of a subspace; ``p is None`` means QQ, else F_p.
 
-
-class IntEchelon:
-    """Incremental echelon form for rank computation.
-
-    ``p is None`` means exact rationals (integer-scaled rows); otherwise F_p.
+    ``rows`` maps pivot index -> row with entry 1 at the pivot and no entry
+    below it.  After ``reduce`` or ``canonical_rows`` the rows are fully
+    reduced: no row has an entry in another row's pivot column.
     """
 
     def __init__(self, p: int | None = None):
         self.p = p
-        self.rows: dict[int, dict[int, int]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def insert(self, vec: dict[int, int]) -> bool:
-        """Insert a vector; returns True when it enlarges the span."""
-        p = self.p
-        if p is None:
-            vec = {j: x for j, x in vec.items() if x}
-        else:
-            vec = {j: x % p for j, x in vec.items() if x % p}
-        while vec:
-            j = min(vec)
-            row = self.rows.get(j)
-            if row is None:
-                self.rows[j] = _normalize_int_row(vec) if p is None else \
-                    {c: x * pow(vec[j], p - 2, p) % p for c, x in vec.items()}
-                return True
-            if p is None:
-                a, b = row[j], vec[j]
-                g = gcd(a, b)
-                ma, mb = a // g, b // g
-                new = {c: ma * x for c, x in vec.items()}
-                for c, x in row.items():
-                    y = new.get(c, 0) - mb * x
-                    if y:
-                        new[c] = y
-                    elif c in new:
-                        del new[c]
-                vec = _normalize_int_row(new)
-            else:
-                f = vec[j]  # row[j] == 1
-                new = dict(vec)
-                for c, x in row.items():
-                    y = (new.get(c, 0) - f * x) % p
-                    if y:
-                        new[c] = y
-                    elif c in new:
-                        del new[c]
-                vec = new
-        return False
-
-
-class KernelEchelon:
-    """Echelon form that also tracks combinations, yielding kernel vectors.
-
-    Vectors are inserted with a tag; when an inserted vector reduces to zero
-    the returned combination c satisfies ``sum_t c[t] * vector_t = 0``.
-    """
-
-    def __init__(self, p: int | None = None):
-        self.p = p
-        self.rows: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def insert(self, vec: dict[int, int], tag: int) -> dict[int, int] | None:
-        """Insert; returns a kernel combination when dependent, else None."""
-        p = self.p
-        if p is None:
-            vec = {j: x for j, x in vec.items() if x}
-        else:
-            vec = {j: x % p for j, x in vec.items() if x % p}
-        comb = {tag: 1}
-        while vec:
-            j = min(vec)
-            entry = self.rows.get(j)
-            if entry is None:
-                self.rows[j] = (vec, comb)
-                return None
-            row, rcomb = entry
-            if p is None:
-                a, b = row[j], vec[j]
-                g = gcd(a, b)
-                ma, mb = a // g, b // g
-                vec = _combine_int(ma, vec, -mb, row)
-                comb = _combine_int(ma, comb, -mb, rcomb)
-                cg = 0
-                for x in vec.values():
-                    cg = gcd(cg, x)
-                for x in comb.values():
-                    cg = gcd(cg, x)
-                if cg > 1:
-                    vec = {c: x // cg for c, x in vec.items()}
-                    comb = {c: x // cg for c, x in comb.items()}
-            else:
-                f = vec[j] * pow(row[j], p - 2, p) % p
-                vec = _combine_mod(1, vec, -f, row, p)
-                comb = _combine_mod(1, comb, -f, rcomb, p)
-        return comb
-
-
-def _combine_int(a: int, u: dict, b: int, v: dict) -> dict:
-    out = {c: a * x for c, x in u.items()}
-    for c, x in v.items():
-        y = out.get(c, 0) + b * x
-        if y:
-            out[c] = y
-        elif c in out:
-            del out[c]
-    return out
-
-
-def _combine_mod(a: int, u: dict, b: int, v: dict, p: int) -> dict:
-    out = {c: a * x % p for c, x in u.items()}
-    for c, x in v.items():
-        y = (out.get(c, 0) + b * x) % p
-        if y:
-            out[c] = y
-        elif c in out:
-            del out[c]
-    return out
-
-
-def rank_of_vectors(vectors, fld: Field = QQ) -> int:
-    """Exact rank of a family of sparse vectors with field coefficients."""
-    ech = IntEchelon(fld.p)
-    for vec in vectors:
-        ech.insert(int_scaled(vec, fld))
-    return ech.rank
-
-
-def kernel_of_columns(columns, fld: Field = QQ) -> list[dict[int, int]]:
-    """Kernel basis of the map sending unit vector j to ``columns[j]``.
-
-    Returns sparse combinations over the column indices (integer entries over
-    QQ, entries mod p over F_p), in order of discovery, deterministic for a
-    fixed column order.
-    """
-    ech = KernelEchelon(fld.p)
-    kernel = []
-    for j, col in enumerate(columns):
-        comb = ech.insert(int_scaled(col, fld), j)
-        if comb is not None:
-            kernel.append(comb)
-    return kernel
-
-
-class RREFSubspace:
-    """A subspace kept in reduced row-echelon form over the field.
-
-    Rows are sparse dicts with pivot entry 1 and zeros in all other pivot
-    columns; ``rows`` maps pivot column -> row.  The set of rows is a
-    canonical invariant of the subspace for the fixed column order.
-    """
-
-    def __init__(self, fld: Field = QQ):
-        self.field = fld
         self.rows: dict[int, dict] = {}
+        self._reduced = True
 
     @property
     def dimension(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: dict) -> dict:
-        """Canonical representative of ``vec`` modulo the subspace."""
-        fld = self.field
-        vec = {j: x for j, x in vec.items() if not fld.is_zero(x)}
-        for j in sorted(vec):
-            row = self.rows.get(j)
-            c = vec.get(j)
-            if row is None or c is None or fld.is_zero(c):
-                continue
-            # fully reduced rows never reintroduce pivot columns
-            for k, x in row.items():
-                y = fld.sub(vec.get(k, fld.zero()), fld.mul(c, x))
-                if fld.is_zero(y):
-                    vec.pop(k, None)
-                else:
-                    vec[k] = y
+    def _clean(self, vec: dict) -> dict:
+        """A fresh copy of ``vec`` with entries reduced mod p and zeros dropped."""
+        p = self.p
+        if p is None:
+            return {j: x for j, x in vec.items() if x}
+        return {j: x % p for j, x in vec.items() if x % p}
+
+    def _forward(self, vec: dict) -> dict:
+        """Subtract rows from ``vec`` (in place) until its smallest index is
+        not a pivot; empty exactly when ``vec`` lies in the span."""
+        rows, p = self.rows, self.p
+        while vec:
+            j = min(vec)
+            row = rows.get(j)
+            if row is None:
+                break
+            axpy(vec, -vec[j], row, p)
         return vec
 
     def insert(self, vec: dict) -> bool:
-        fld = self.field
-        r = self.reduce(vec)
-        if not r:
+        """Add ``vec`` to the span; returns True when the span grows."""
+        vec = self._forward(self._clean(vec))
+        if not vec:
             return False
-        piv = min(r)
-        inv = fld.inv(r[piv])
-        r = {j: fld.mul(inv, x) for j, x in r.items()}
-        for row in self.rows.values():
-            c = row.get(piv)
-            if c is not None and not fld.is_zero(c):
-                for k, x in r.items():
-                    y = fld.sub(row.get(k, fld.zero()), fld.mul(c, x))
-                    if fld.is_zero(y):
-                        row.pop(k, None)
-                    else:
-                        row[k] = y
-        self.rows[piv] = r
+        piv = min(vec)
+        c = vec[piv]
+        p = self.p
+        if c != 1:
+            if p is not None:
+                inv = pow(c, -1, p)
+                vec = {j: x * inv % p for j, x in vec.items()}
+            elif c == -1:
+                # the usual QQ pivot besides 1: negate, no Fraction round trip
+                vec = {j: -x for j, x in vec.items()}
+            else:
+                inv = QQ.inv(c)
+                vec = {j: QQ.of(x * inv) for j, x in vec.items()}
+        self.rows[piv] = vec
+        self._reduced = False
         return True
 
     def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
+        return not self._forward(self._clean(vec))
 
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(sorted(self.rows))
+    def _back_substitute(self):
+        """Clear every pivot column outside its own row, highest pivot first."""
+        if self._reduced:
+            return
+        rows, p = self.rows, self.p
+        for piv in sorted(rows, reverse=True):
+            row = rows[piv]
+            # rows[k] for k > piv is already reduced, so clearing column k
+            # never touches another pivot column of this row
+            for k in [k for k in row if k != piv and k in rows]:
+                axpy(row, -row[k], rows[k], p)
+        self._reduced = True
+
+    def reduce(self, vec: dict) -> dict:
+        """Canonical remainder of ``vec``: equal for vectors congruent modulo
+        the span, with no entry in a pivot column."""
+        self._back_substitute()
+        vec = self._clean(vec)
+        rows, p = self.rows, self.p
+        for j in [j for j in vec if j in rows]:
+            axpy(vec, -vec[j], rows[j], p)
+        return vec
 
     def canonical_rows(self) -> tuple[tuple[tuple[int, object], ...], ...]:
-        """RREF rows (sorted by pivot, entries sorted by column)."""
-        return tuple(
-            tuple(sorted(self.rows[piv].items()))
-            for piv in sorted(self.rows)
-        )
+        """Reduced rows, sorted by pivot, entries sorted by index."""
+        self._back_substitute()
+        return tuple(tuple(sorted(self.rows[piv].items()))
+                     for piv in sorted(self.rows))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RREFSubspace):
-            return NotImplemented
-        return self.field == other.field and self.canonical_rows() == other.canonical_rows()
+
+def rank_of_vectors(vectors, fld: Field = QQ) -> int:
+    """Exact rank of a family of sparse vectors with field coefficients."""
+    ech = Echelon(fld.p)
+    for vec in vectors:
+        ech.insert(vec)
+    return ech.dimension
+
+
+def transpose(columns) -> list[dict]:
+    """The nonzero rows of the matrix with the given sparse columns."""
+    rows: dict[int, dict] = {}
+    for j, col in enumerate(columns):
+        for r, c in col.items():
+            rows.setdefault(r, {})[j] = c
+    return list(rows.values())
+
+
+def kernel_of_columns(columns, fld: Field = QQ) -> list[dict]:
+    """Kernel basis of the map sending unit vector j to ``columns[j]``.
+
+    Read off the reduced row space of the matrix: free column f gives
+    ``e_f - sum_p R[p][f] e_p`` over the pivots p.  Vectors come in
+    increasing f, with field-element entries.
+    """
+    p = fld.p
+    ech = Echelon(p)
+    for row in transpose(columns):
+        ech.insert(row)
+    kernel = {f: {f: 1} for f in range(len(columns)) if f not in ech.rows}
+    for row in ech.canonical_rows():
+        piv = row[0][0]
+        for f, x in row[1:]:
+            kernel[f][piv] = -x if p is None else p - x
+    return list(kernel.values())
 
 
 @dataclass
@@ -305,13 +197,11 @@ class LinearMap:
             raise InvalidInputError("matrix shape mismatch")
 
     def rank(self) -> int:
-        vectors = [
-            {j: x for j, x in enumerate(row) if not self.field.is_zero(x)}
-            for row in self.entries
-        ]
+        vectors = [{j: self.field.of(x) for j, x in enumerate(row)}
+                   for row in self.entries]
         return rank_of_vectors(vectors, self.field)
 
 
 def rank(m: LinearMap) -> int:
-    """Exact rank of a dense map (fraction-free over QQ, standard mod p)."""
+    """Exact rank of a dense map."""
     return m.rank()

@@ -27,10 +27,6 @@ def bidegree_of(mono: Monomial, num_p: int) -> BiDegree:
     return (sum(mono[:num_p]), sum(mono[num_p:]))
 
 
-def add_bidegrees(v: BiDegree, w: BiDegree) -> BiDegree:
-    return (v[0] + w[0], v[1] + w[1])
-
-
 def sub_bidegrees(v: BiDegree, w: BiDegree) -> BiDegree:
     return (v[0] - w[0], v[1] - w[1])
 

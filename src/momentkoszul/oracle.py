@@ -22,7 +22,7 @@ from itertools import combinations
 from .betti import BettiTable
 from .fields import QQ, Field
 from .ideals import RepFamily
-from .linalg import IntEchelon, int_scaled, kernel_of_columns
+from .linalg import Echelon, axpy, kernel_of_columns, transpose
 from .monomials import BiDegree, bidegrees_up_to_total, sub_bidegrees, total
 from .polynomials import format_monomial, variable_names
 from .quotient import QuotientRing, ring_for_family
@@ -95,7 +95,7 @@ class KoszulOracle:
         if got is not None:
             return got
         ring = self.ring
-        fld = ring.field
+        p = ring.field.p
         blocks, _ = self.basis(i, v)
         tgt_blocks, _ = self.basis(i - 1, v)
         tgt_offset = {eps: off for eps, _, off, _ in tgt_blocks}
@@ -103,23 +103,15 @@ class KoszulOracle:
         for eps, w, _, d in blocks:
             removals = []
             for r in range(len(eps)):
-                tgt_eps = eps[:r] + eps[r + 1:]
-                off = tgt_offset.get(tgt_eps)
-                if off is None:
-                    continue
-                sign = 1 if r % 2 == 0 else -1
-                removals.append((sign, off, ring.mult_by_var(eps[r], w)))
+                off = tgt_offset.get(eps[:r] + eps[r + 1:])
+                if off is not None:
+                    removals.append((r % 2, off, ring.mult_by_var(eps[r], w)))
             for pos in range(d):
+                # each removal lands in its own target block: no entries collide
                 col: dict[int, object] = {}
-                for sign, off, mult in removals:
+                for odd, off, mult in removals:
                     for tpos, c in mult[pos].items():
-                        val = c if sign == 1 else fld.neg(c)
-                        idx = off + tpos
-                        acc = fld.add(col.get(idx, fld.zero()), val)
-                        if fld.is_zero(acc):
-                            col.pop(idx, None)
-                        else:
-                            col[idx] = acc
+                        col[off + tpos] = (-c if p is None else p - c) if odd else c
                 cols.append(col)
         self._cols[key] = cols
         return cols
@@ -134,37 +126,23 @@ class KoszulOracle:
             return 0
         cols = self.columns(i, v)
         n_rows = self.dimension(i - 1, v)
-        ech = IntEchelon(self.ring.field.p)
-        fld = self.ring.field
-        if len(cols) <= n_rows:
-            for col in cols:
-                ech.insert(int_scaled(col, fld))
-        else:
-            rows: dict[int, dict[int, object]] = {}
-            for j, col in enumerate(cols):
-                for r, c in col.items():
-                    rows.setdefault(r, {})[j] = c
-            for row in rows.values():
-                ech.insert(int_scaled(row, fld))
-        self._rank[key] = ech.rank
-        return ech.rank
+        ech = Echelon(self.ring.field.p)
+        for vec in cols if len(cols) <= n_rows else transpose(cols):
+            ech.insert(vec)
+        self._rank[key] = ech.dimension
+        return ech.dimension
 
     def check_dd(self, i: int, v: BiDegree):
         """Assert d_{i-1} . d_i = 0 on the bidegree-v piece."""
         if i < 2 or i > self.ring.nvars or (i, v) in self._dd_done:
             return
         self._dd_done.add((i, v))
-        fld = self.ring.field
+        p = self.ring.field.p
         lower = self.columns(i - 1, v)
         for col in self.columns(i, v):
             acc: dict[int, object] = {}
             for pos, c in col.items():
-                for tpos, m in lower[pos].items():
-                    val = fld.add(acc.get(tpos, fld.zero()), fld.mul(c, m))
-                    if fld.is_zero(val):
-                        acc.pop(tpos, None)
-                    else:
-                        acc[tpos] = val
+                axpy(acc, c, lower[pos], p)
             assert not acc, f"d.d != 0 at i={i}, v={v}"
 
     def betti(self, i: int, v: BiDegree) -> int:
@@ -196,9 +174,14 @@ def _pool_rank(key):
     return key, _POOL_ORACLE.rank(i, v)
 
 
+def _bounded_workers(workers: int) -> int:
+    """A worker count clamped to 1..os.cpu_count()."""
+    return max(1, min(workers, os.cpu_count() or 1))
+
+
 def default_workers() -> int:
     try:
-        return max(1, int(os.environ.get("MOMENTKOSZUL_THREADS", "1")))
+        return _bounded_workers(int(os.environ.get("MOMENTKOSZUL_THREADS", "1")))
     except ValueError:
         return 1
 
@@ -241,8 +224,7 @@ def tor_over_S(f: RepFamily, max_i: int | None = None,
     if max_i is None:
         max_i = projective_dimension(f)
     oracle = KoszulOracle(ring)
-    if workers is None:
-        workers = default_workers()
+    workers = default_workers() if workers is None else _bounded_workers(workers)
     if workers > 1 and hasattr(os, "fork"):
         bounds = (lambda i: max_total_degree) if max_total_degree is not None \
             else (lambda i: i + 3)
@@ -306,10 +288,10 @@ def socle(f: RepFamily, max_total_degree: int, fld: Field = QQ) -> dict[BiDegree
         dim = ring.dim(v)
         if dim == 0:
             continue
-        ech = IntEchelon(fld.p)
+        ech = Echelon(fld.p)
         for col in _socle_columns(ring, v):
-            ech.insert(int_scaled(col, fld))
-        k = dim - ech.rank
+            ech.insert(col)
+        k = dim - ech.dimension
         if k:
             out[v] = k
     return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import QQ, Field
-from .linalg import InvalidInputError, RREFSubspace, rank_of_vectors
+from .linalg import Echelon, InvalidInputError, rank_of_vectors
 from .monomials import (
     BiDegree,
     Monomial,
@@ -41,10 +41,6 @@ class GradedPiece:
         if self.vectors is None:
             return len(self.basis)
         return len(self.vectors)
-
-
-def full_piece(num_p: int, num_q: int, v: BiDegree) -> GradedPiece:
-    return GradedPiece(v, monomial_basis(num_p, num_q, v))
 
 
 def _check_ambient(generators) -> tuple[int, int]:
@@ -78,8 +74,8 @@ def ideal_piece(generators, v: BiDegree, fld: Field = QQ) -> GradedPiece:
     if generators:
         num_p, num_q = _check_ambient(generators)
     else:
-        raise InvalidInputError("empty generator list has no ambient; use full_piece")
-    space = RREFSubspace(fld)
+        raise InvalidInputError("empty generator list has no ambient")
+    space = Echelon(fld.p)
     for vec in ideal_span_vectors(generators, v, fld):
         space.insert(vec)
     return GradedPiece(v, monomial_basis(num_p, num_q, v), space.canonical_rows())
@@ -103,7 +99,7 @@ def pieces_equal(gens_a, gens_b, v: BiDegree, fld: Field = QQ) -> bool:
 
 def piece_contains(gens_big, gens_small, v: BiDegree, fld: Field = QQ) -> bool:
     """Whether the degree-v span of gens_small sits inside that of gens_big."""
-    space = RREFSubspace(fld)
+    space = Echelon(fld.p)
     for vec in ideal_span_vectors(gens_big, v, fld):
         space.insert(vec)
     return all(space.contains(vec) for vec in ideal_span_vectors(gens_small, v, fld))

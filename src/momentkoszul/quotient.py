@@ -11,7 +11,7 @@ repeated runs produce identical matrices.
 from __future__ import annotations
 
 from .fields import QQ, Field
-from .linalg import IntEchelon, RREFSubspace, int_scaled
+from .linalg import Echelon, axpy
 from .monomials import (
     BiDegree,
     ambient_dimension,
@@ -30,7 +30,7 @@ class QuotientPiece:
     def __init__(self, bidegree, ambient, rref, complement, positions):
         self.bidegree = bidegree
         self.ambient = ambient          # canonical monomial basis of S_v
-        self.rref = rref                # RREFSubspace of I_v
+        self.rref = rref                # Echelon of I_v
         self.complement = complement    # ambient indices of the quotient basis
         self.positions = positions      # ambient index -> quotient coordinate
 
@@ -62,12 +62,11 @@ class QuotientRing:
         if got is not None:
             return got
         ambient = monomial_basis(self.num_p, self.num_q, v)
-        rref = RREFSubspace(self.field)
+        rref = Echelon(self.field.p)
         if self.generators:
             for vec in ideal_span_vectors(self.generators, v, self.field):
                 rref.insert(vec)
-        pivots = set(rref.rows)
-        complement = tuple(j for j in range(len(ambient)) if j not in pivots)
+        complement = tuple(j for j in range(len(ambient)) if j not in rref.rows)
         positions = {j: k for k, j in enumerate(complement)}
         piece = QuotientPiece(v, ambient, rref, complement, positions)
         self._pieces[v] = piece
@@ -86,10 +85,10 @@ class QuotientRing:
         if not self.generators:
             rank = 0
         else:
-            ech = IntEchelon(self.field.p)
+            ech = Echelon(self.field.p)
             for vec in ideal_span_vectors(self.generators, v, self.field):
-                ech.insert(int_scaled(vec, self.field))
-            rank = ech.rank
+                ech.insert(vec)
+            rank = ech.dimension
         self._ideal_rank[v] = rank
         return rank
 
@@ -119,12 +118,11 @@ class QuotientRing:
         src = self.piece(v)
         w = (v[0] + 1, v[1]) if x < self.num_p else (v[0], v[1] + 1)
         tgt_index = basis_index(self.num_p, self.num_q, w)
-        one = self.field.one()
         cols = []
         for j in src.complement:
             mono = src.ambient[j]
             shifted = mono[:x] + (mono[x] + 1,) + mono[x + 1:]
-            cols.append(self.nf(w, {tgt_index[shifted]: one}))
+            cols.append(self.nf(w, {tgt_index[shifted]: 1}))
         self._mult[key] = cols
         return cols
 
@@ -134,9 +132,9 @@ class QuotientRing:
         got = self._mult_mono.get(key)
         if got is not None:
             return got
-        fld = self.field
+        p = self.field.p
         # identity start
-        cols = [{k: fld.one()} for k in range(self.dim(v))]
+        cols = [{k: 1} for k in range(self.dim(v))]
         w = v
         for x, e in enumerate(mono):
             for _ in range(e):
@@ -145,30 +143,12 @@ class QuotientRing:
                 for col in cols:
                     acc: dict[int, object] = {}
                     for pos, c in col.items():
-                        for tpos, m in step[pos].items():
-                            val = fld.add(acc.get(tpos, fld.zero()), fld.mul(c, m))
-                            if fld.is_zero(val):
-                                acc.pop(tpos, None)
-                            else:
-                                acc[tpos] = val
+                        axpy(acc, c, step[pos], p)
                     new_cols.append(acc)
                 cols = new_cols
                 w = (w[0] + 1, w[1]) if x < self.num_p else (w[0], w[1] + 1)
         self._mult_mono[key] = cols
         return cols
-
-    def apply_columns(self, cols: list[dict], vec: dict) -> dict:
-        """Apply a column-sparse matrix to a sparse vector."""
-        fld = self.field
-        acc: dict[int, object] = {}
-        for pos, c in vec.items():
-            for tpos, m in cols[pos].items():
-                val = fld.add(acc.get(tpos, fld.zero()), fld.mul(c, m))
-                if fld.is_zero(val):
-                    acc.pop(tpos, None)
-                else:
-                    acc[tpos] = val
-        return acc
 
     def monomial_label(self, v: BiDegree, position: int) -> tuple:
         """The complement basis monomial at a quotient coordinate."""

@@ -4,8 +4,8 @@ built degree by degree.
 State per step: the free module F_s is a list of generator bidegrees; the
 presentation d_s is one column per generator, a sparse vector over the graded
 basis of F_{s-1} in the generator's bidegree.  For each bidegree v (scanned
-in increasing total degree, p-heavy first) the kernel of d_s is computed by
-exact elimination with combination tracking; new generators of F_{s+1} are
+in increasing total degree, p-heavy first) the kernel of d_s is read off the
+reduced row-echelon form of its matrix; new generators of F_{s+1} are
 the canonical kernel rows not already reached by variable multiples of
 lower-degree kernel elements.  Minimality (no unit entry in any
 presentation) is asserted as each generator is chosen.
@@ -19,7 +19,7 @@ from __future__ import annotations
 from .betti import BettiTable
 from .fields import QQ, Field
 from .ideals import RepFamily
-from .linalg import RREFSubspace, kernel_of_columns
+from .linalg import Echelon, axpy, kernel_of_columns
 from .monomials import BiDegree, bidegrees_up_to_total, sub_bidegrees
 from .quotient import QuotientRing, ring_for_family
 
@@ -60,46 +60,35 @@ class _Module:
                 return off
         return None
 
-    def multiply_by_var(self, x: int, v: BiDegree, vec: dict) -> dict:
-        """Image in degree v + deg(x) of a degree-v element under variable x."""
-        ring = self.ring
-        fld = ring.field
-        e = ring.var_bidegree(x)
-        w_target = (v[0] + e[0], v[1] + e[1])
+    def _image(self, v: BiDegree, w_target: BiDegree, vec: dict, columns) -> dict:
+        """Image in degree w_target of a degree-v element under the map whose
+        columns on the quotient piece of degree ``rest`` are ``columns(rest)``."""
+        p = self.ring.field.p
         _, _, owners = self.blocks(v)
-        out: dict[int, object] = {}
+        # one generator's terms share ``rest`` and land in one target block
+        per_gen: dict[int, dict] = {}
         for pos, c in vec.items():
             gi, rest, inner = owners[pos]
+            axpy(per_gen.setdefault(gi, {}), c, columns(rest)[inner], p)
+        out: dict[int, object] = {}
+        for gi, acc in per_gen.items():
             off = self.offset_of_gen(w_target, gi)
-            for tpos, m in ring.mult_by_var(x, rest)[inner].items():
-                idx = off + tpos
-                val = fld.add(out.get(idx, fld.zero()), fld.mul(c, m))
-                if fld.is_zero(val):
-                    out.pop(idx, None)
-                else:
-                    out[idx] = val
+            for tpos, m in acc.items():
+                out[off + tpos] = m
         return out
+
+    def multiply_by_var(self, x: int, v: BiDegree, vec: dict) -> dict:
+        """Image in degree v + deg(x) of a degree-v element under variable x."""
+        e = self.ring.var_bidegree(x)
+        return self._image(v, (v[0] + e[0], v[1] + e[1]), vec,
+                           lambda rest: self.ring.mult_by_var(x, rest))
 
     def multiply_by_monomial(self, mono, v: BiDegree, vec: dict) -> dict:
         """Image in degree v + deg(mono) of a degree-v element."""
         ring = self.ring
-        fld = ring.field
-        db = (sum(mono[:ring.num_p]), sum(mono[ring.num_p:]))
-        w_target = (v[0] + db[0], v[1] + db[1])
-        _, _, owners = self.blocks(v)
-        out: dict[int, object] = {}
-        for pos, c in vec.items():
-            gi, rest, inner = owners[pos]
-            off = self.offset_of_gen(w_target, gi)
-            cols = ring.mult_by_monomial(mono, rest)
-            for tpos, m in cols[inner].items():
-                idx = off + tpos
-                val = fld.add(out.get(idx, fld.zero()), fld.mul(c, m))
-                if fld.is_zero(val):
-                    out.pop(idx, None)
-                else:
-                    out[idx] = val
-        return out
+        w_target = (v[0] + sum(mono[:ring.num_p]), v[1] + sum(mono[ring.num_p:]))
+        return self._image(v, w_target, vec,
+                           lambda rest: ring.mult_by_monomial(mono, rest))
 
 
 def resolve_k_over_quotient(f: RepFamily, max_i: int, max_total_degree: int,
@@ -118,7 +107,7 @@ def resolve_k_over_quotient(f: RepFamily, max_i: int, max_total_degree: int,
             continue
         d = ring.dim(v)
         if d:
-            kernels[v] = [{k: fld.one()} for k in range(d)]
+            kernels[v] = [{k: 1} for k in range(d)]
 
     boundary = []
     for step in range(1, max_i + 1):
@@ -128,21 +117,20 @@ def resolve_k_over_quotient(f: RepFamily, max_i: int, max_total_degree: int,
             kvecs = kernels.get(v, [])
             if not kvecs:
                 continue
-            span = RREFSubspace(fld)
+            span = Echelon(fld.p)
             for x in range(ring.nvars):
                 e = ring.var_bidegree(x)
                 v_prev = (v[0] - e[0], v[1] - e[1])
                 for kv in kernels.get(v_prev, []):
                     span.insert(module.multiply_by_var(x, v_prev, kv))
-            canon = RREFSubspace(fld)
+            canon = Echelon(fld.p)
             for kv in kvecs:
                 canon.insert(kv)
             _, _, owners = module.blocks(v)
             for row_items in canon.canonical_rows():
                 row = dict(row_items)
-                if span.contains(row):
+                if not span.insert(row):
                     continue
-                span.insert(row)
                 for pos in row:
                     gi, rest, _ = owners[pos]
                     assert rest != (0, 0), \
@@ -170,10 +158,7 @@ def resolve_k_over_quotient(f: RepFamily, max_i: int, max_total_degree: int,
                     mono = ring.monomial_label(rest, mono_idx)
                     columns.append(module.multiply_by_monomial(mono, w_h, col))
             if columns:
-                raw = kernel_of_columns(columns, fld)
-                kernels[v] = [
-                    {pos: fld.of(c) for pos, c in kv.items()} for kv in raw
-                ]
+                kernels[v] = kernel_of_columns(columns, fld)
         module = next_module
 
     return BettiTable(str(f.kind.value), f.n, entries,

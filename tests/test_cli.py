@@ -78,6 +78,13 @@ def test_invalid_inputs_exit_2(capsys):
     assert code == 2 and "characteristic" in err
 
 
+def test_moduli_from_two_to_the_64_exit_2(capsys):
+    for p in (2 ** 64, 2 ** 89 - 1):
+        code, _, err = run(capsys, "betti", "--family", "gl", "--n", "1",
+                           "--source", "closed", "--field", f"fp:{p}")
+        assert code == 2 and "2**64" in err
+
+
 def test_koszul_sp3(capsys):
     code, out, _ = run(capsys, "koszul", "--family", "sp", "--n", "3")
     assert code == 0

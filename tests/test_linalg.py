@@ -7,16 +7,19 @@ from hypothesis import strategies as st
 
 from momentkoszul.fields import GF, QQ
 from momentkoszul.linalg import (
-    IntEchelon,
-    KernelEchelon,
+    Echelon,
     LinearMap,
-    RREFSubspace,
     kernel_of_columns,
     rank,
     rank_of_vectors,
 )
 
-from helpers import brute_rank
+from helpers import brute_rank, brute_rref
+
+fractional_matrices = st.lists(
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+             min_size=3, max_size=3),
+    min_size=1, max_size=4)
 
 
 def test_rank_zero_matrix():
@@ -48,12 +51,12 @@ def test_rank_agrees_over_large_prime(rows):
     assert rank_of_vectors(vec_q, QQ) == rank_of_vectors(vec_p, GF(32003))
 
 
-def test_int_echelon_insert_reports_growth():
-    ech = IntEchelon()
+def test_echelon_insert_reports_growth():
+    ech = Echelon()
     assert ech.insert({0: 1, 1: 2})
     assert ech.insert({1: 1})
     assert not ech.insert({0: 2, 1: 5})  # = 2*(first) + (second)
-    assert ech.rank == 2
+    assert ech.dimension == 2
 
 
 def test_kernel_tracking_combination_is_exact():
@@ -75,14 +78,14 @@ def test_kernel_mod_p():
     assert len(kernel) == 1
 
 
-def test_rref_subspace_is_order_independent():
+def test_echelon_canonical_rows_are_order_independent():
     vecs = [
         {0: Fraction(1), 2: Fraction(3)},
         {1: Fraction(2), 2: Fraction(1)},
         {0: Fraction(2), 1: Fraction(2), 2: Fraction(7)},
     ]
-    a = RREFSubspace(QQ)
-    b = RREFSubspace(QQ)
+    a = Echelon()
+    b = Echelon()
     for v in vecs:
         a.insert(dict(v))
     for v in reversed(vecs):
@@ -91,8 +94,8 @@ def test_rref_subspace_is_order_independent():
     assert a.dimension == 2
 
 
-def test_rref_reduce_is_canonical_section():
-    space = RREFSubspace(QQ)
+def test_echelon_reduce_is_canonical_section():
+    space = Echelon()
     space.insert({0: Fraction(1), 1: Fraction(1)})
     r1 = space.reduce({0: Fraction(2), 1: Fraction(2), 2: Fraction(1)})
     r2 = space.reduce({2: Fraction(1)})
@@ -100,12 +103,10 @@ def test_rref_reduce_is_canonical_section():
     assert space.contains({0: Fraction(-3), 1: Fraction(-3)})
 
 
-def test_kernel_echelon_rank_property():
-    ech = KernelEchelon()
-    assert ech.insert({0: 2, 1: 4}, 0) is None
-    combo = ech.insert({0: 1, 1: 2}, 1)
-    assert combo is not None  # dependent: 1*(v0) - 2*(v1) = 0 up to scaling
-    assert ech.rank == 1
+def test_kernel_of_rank_one_pair():
+    # columns (2, 4) and (1, 2): v0 - 2*v1 = 0 spans the kernel
+    kernel = kernel_of_columns([{0: 2, 1: 4}, {0: 1, 1: 2}], QQ)
+    assert kernel == [{1: 1, 0: Fraction(-1, 2)}]
 
 
 def test_linear_map_shape_validation():
@@ -116,11 +117,37 @@ def test_linear_map_shape_validation():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.lists(st.fractions(min_value=-3, max_value=3,
-                                      max_denominator=4),
-                         min_size=3, max_size=3),
-                min_size=1, max_size=4))
+@given(fractional_matrices)
 def test_rank_with_fractional_entries_matches_brute_force(rows):
     expected = brute_rank(rows)
     vectors = [{j: x for j, x in enumerate(r) if x} for r in rows]
     assert rank_of_vectors(vectors, QQ) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(fractional_matrices, st.randoms(use_true_random=False))
+def test_canonical_rows_match_brute_rref_in_any_order(rows, rnd):
+    expected = tuple(
+        tuple((j, x) for j, x in enumerate(r) if x) for r in brute_rref(rows)
+    )
+    order = list(rows)
+    rnd.shuffle(order)
+    ech = Echelon()
+    for r in order:
+        ech.insert({j: x for j, x in enumerate(r) if x})
+    assert ech.canonical_rows() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(fractional_matrices)
+def test_kernel_of_fractional_columns(rows):
+    # the columns of the matrix ``rows`` (3 of them), as sparse vectors
+    cols = [{r: row[j] for r, row in enumerate(rows) if row[j]} for j in range(3)]
+    kernel = kernel_of_columns(cols, QQ)
+    assert len(kernel) == 3 - brute_rank(rows)
+    for combo in kernel:
+        acc = {}
+        for j, c in combo.items():
+            for r, x in cols[j].items():
+                acc[r] = acc.get(r, 0) + c * x
+        assert all(v == 0 for v in acc.values())

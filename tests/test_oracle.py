@@ -1,11 +1,15 @@
 """The brute-force homological oracle against closed forms and known values."""
 
+import os
+
 
 from momentkoszul.closed import betti_closed, euler_check, hilbert_closed
 from momentkoszul.fields import GF, QQ
 from momentkoszul.ideals import family
+from momentkoszul import oracle
 from momentkoszul.oracle import (
     KoszulOracle,
+    default_workers,
     depth_zero_witness,
     hilbert_oracle,
     socle,
@@ -117,6 +121,21 @@ def test_parallel_workers_are_bit_identical():
     b = tor_over_S(f, workers=2)
     assert a.entries == b.entries
     assert a.boundary_hits == b.boundary_hits
+
+
+def test_worker_count_from_environment_is_clamped(monkeypatch):
+    monkeypatch.setenv("MOMENTKOSZUL_THREADS", "1000000")
+    assert default_workers() == (os.cpu_count() or 1)
+
+
+def test_explicit_worker_count_is_clamped(monkeypatch):
+    def no_pool(*args):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(oracle, "_prefill_ranks", no_pool)
+    table = tor_over_S(family("gl", 1), workers=1000000)
+    assert table.entries == tor_over_S(family("gl", 1), workers=1).entries
 
 
 def test_chain_piece_exposes_labelled_basis():

@@ -59,3 +59,11 @@ def test_roos_series_matches_oracle_resolution():
     for i in range(5):
         for j in range(7):
             assert grid.get((i, j), 0) == series.coefficient((j, i)), (i, j)
+
+
+def test_sl3_resolution_over_qq_is_symmetric_and_matches_prime_field():
+    # over QQ the presentation matrices have non-integral entries
+    a = resolve_k_over_quotient(family("sl", 3), 5, 6)
+    b = resolve_k_over_quotient(family("sl", 3), 5, 6, fld=GF(32003))
+    assert a.is_symmetric()
+    assert a.entries == b.entries
