@@ -25,8 +25,16 @@ from .linalg import InvalidInputError
 from .oracle import tor_over_S
 from .polynomials import format_polynomial
 from .verdicts import verdict
-from .verify import run_suite
+from .verify import SUITES, run_suite
 from .exterior import exterior_mult_rank
+
+
+#: Largest --n a --family command accepts: at n = 100 every command still ends
+#: within seconds, beyond it some exhaust memory or run for minutes.
+MAX_FAMILY_N = 100
+
+#: Largest --n of ``exterior``; its time grows about fourfold per step of n.
+MAX_EXTERIOR_N = 8
 
 
 def _default_field():
@@ -46,8 +54,14 @@ def _family_args(p: argparse.ArgumentParser):
     p.add_argument("--n", required=True, type=int)
 
 
+def _family(args):
+    if args.n > MAX_FAMILY_N:
+        raise InvalidInputError(f"--n must be at most {MAX_FAMILY_N}, got {args.n}")
+    return family(args.family, args.n)
+
+
 def cmd_gens(args) -> int:
-    f = family(args.family, args.n)
+    f = _family(args)
     gens = generators(f)
     doubled = f.doubled_names
     if args.format == "json":
@@ -82,7 +96,7 @@ def _render_table(table: BettiTable, fmt: str) -> str:
 
 
 def cmd_betti(args) -> int:
-    f = family(args.family, args.n)
+    f = _family(args)
     fld = parse_field(args.field) if args.field else _default_field()
     f.check_field(fld)
     oracle_cap = 2 if args.family == "sp" else 3
@@ -121,7 +135,7 @@ def cmd_betti(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    f = family(args.family, args.n)
+    f = _family(args)
     series = hilbert_closed(f, args.order)
     if args.collapse:
         series = series.collapse("s")
@@ -130,14 +144,14 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_poincare(args) -> int:
-    f = family(args.family, args.n)
+    f = _family(args)
     series = poincare_over_S(f, args.order)
     _emit(str(series), args.out)
     return 0
 
 
 def cmd_koszul(args) -> int:
-    f = family(args.family, args.n)
+    f = _family(args)
     fld = parse_field(args.field) if args.field else _default_field()
     f.check_field(fld)
     v = verdict(f, fld)
@@ -148,6 +162,8 @@ def cmd_koszul(args) -> int:
 def cmd_exterior(args) -> int:
     fld = parse_field(f"fp:{args.char}") if args.char else QQ
     n = args.n
+    if not 1 <= n <= MAX_EXTERIOR_N:
+        raise InvalidInputError(f"--n must be between 1 and {MAX_EXTERIOR_N}, got {n}")
     lines = []
     all_max = True
     for i in range(0, 2 * n - 1):
@@ -235,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the cross-check suites")
     p.add_argument("--suite", default="all",
-                   choices=["all", "betti", "hilbert", "exterior", "appendixB"])
+                   choices=["all", *SUITES])
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
 

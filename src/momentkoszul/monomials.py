@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+from operator import add
 
 BiDegree = tuple[int, int]
 Monomial = tuple[int, ...]
@@ -80,7 +81,7 @@ def basis_index(num_p: int, num_q: int, v: BiDegree) -> dict:
 
 
 def multiply_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(a + b for a, b in zip(m1, m2))
+    return tuple(map(add, m1, m2))
 
 
 def bidegrees_up_to_total(bound: int):

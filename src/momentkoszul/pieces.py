@@ -19,6 +19,7 @@ from .monomials import (
     ambient_dimension,
     basis_index,
     monomial_basis,
+    multiply_monomials,
     sub_bidegrees,
 )
 
@@ -54,7 +55,13 @@ def _check_ambient(generators) -> tuple[int, int]:
 
 
 def ideal_span_vectors(generators, v: BiDegree, fld: Field = QQ):
-    """Sparse vectors g*m (over the canonical basis of bidegree v) spanning I_v."""
+    """Sparse vectors g*m (over the canonical basis of bidegree v) spanning I_v.
+
+    One per generator g and monomial m of bidegree v - deg g, in that order,
+    equal to the coefficients of ``g.times_monomial(m)``.  Each term's
+    positions and field coefficient are computed once per generator, and only
+    when some m exists.
+    """
     if not generators:
         return
     num_p, num_q = _check_ambient(generators)
@@ -63,10 +70,13 @@ def ideal_span_vectors(generators, v: BiDegree, fld: Field = QQ):
         w = g.bidegree()
         if w is None:
             continue
-        rest = sub_bidegrees(v, w)
-        for m in monomial_basis(num_p, num_q, rest):
-            gm = g.times_monomial(m)
-            yield {index[mono]: fld.of(c) for mono, c in gm.terms}
+        basis = monomial_basis(num_p, num_q, sub_bidegrees(v, w))
+        if not basis:
+            continue
+        coeffs = [fld.of(c) for _, c in g.terms]
+        columns = [[index[multiply_monomials(t, m)] for m in basis] for t, _ in g.terms]
+        for positions in zip(*columns):
+            yield dict(zip(positions, coeffs))
 
 
 def ideal_piece(generators, v: BiDegree, fld: Field = QQ) -> GradedPiece:

@@ -30,15 +30,15 @@ class _Module:
     def __init__(self, ring: QuotientRing, gens: list[BiDegree]):
         self.ring = ring
         self.gens = gens
-        self._blocks: dict[BiDegree, tuple[list, int, list]] = {}
+        self._blocks: dict[BiDegree, tuple[dict, int, list]] = {}
 
     def blocks(self, v: BiDegree):
-        """Returns (blocks, total_dim, owners): blocks are (gen, w_rest, offset,
-        dim); owners[pos] = (gen, w_rest, inner)."""
+        """Returns (offsets, total_dim, owners): offsets[gen] is the position
+        of the generator's block; owners[pos] = (gen, w_rest, inner)."""
         got = self._blocks.get(v)
         if got is not None:
             return got
-        blocks = []
+        offsets = {}
         owners = []
         off = 0
         for gi, w in enumerate(self.gens):
@@ -47,18 +47,12 @@ class _Module:
                 continue
             d = self.ring.dim(rest)
             if d:
-                blocks.append((gi, rest, off, d))
+                offsets[gi] = off
                 owners.extend((gi, rest, k) for k in range(d))
                 off += d
-        result = (blocks, off, owners)
+        result = (offsets, off, owners)
         self._blocks[v] = result
         return result
-
-    def offset_of_gen(self, v: BiDegree, gi: int) -> int | None:
-        for g, _, off, _ in self.blocks(v)[0]:
-            if g == gi:
-                return off
-        return None
 
     def _image(self, v: BiDegree, w_target: BiDegree, vec: dict, columns) -> dict:
         """Image in degree w_target of a degree-v element under the map whose
@@ -70,9 +64,10 @@ class _Module:
         for pos, c in vec.items():
             gi, rest, inner = owners[pos]
             axpy(per_gen.setdefault(gi, {}), c, columns(rest)[inner], p)
+        offsets, _, _ = self.blocks(w_target)
         out: dict[int, object] = {}
         for gi, acc in per_gen.items():
-            off = self.offset_of_gen(w_target, gi)
+            off = offsets.get(gi)
             for tpos, m in acc.items():
                 out[off + tpos] = m
         return out

@@ -218,10 +218,15 @@ def suite_verdicts():
 
 
 SUITES = {
-    "appendixB": lambda: suite_reference_tables(),
-    "hilbert": lambda: suite_hilbert(),
-    "betti": lambda: suite_betti(),
-    "exterior": lambda: suite_exterior(),
+    "appendixB": suite_reference_tables,
+    "hilbert": suite_hilbert,
+    "betti": suite_betti,
+    "exterior": suite_exterior,
+    "euler": suite_euler,
+    "structure": suite_structure,
+    "froberg": suite_froberg,
+    "socle": suite_socle,
+    "verdicts": suite_verdicts,
 }
 
 

@@ -1,6 +1,9 @@
 import json
+import time
 
-from momentkoszul.cli import main
+import pytest
+
+from momentkoszul.cli import MAX_EXTERIOR_N, MAX_FAMILY_N, main
 
 
 def run(capsys, *argv):
@@ -85,6 +88,20 @@ def test_moduli_from_two_to_the_64_exit_2(capsys):
         assert code == 2 and "2**64" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gens", "--family", "sp"],
+    ["koszul", "--family", "sp"],
+    ["betti", "--family", "sp"],
+    ["hilbert", "--family", "gl", "--order", "4"],
+    ["poincare", "--family", "sp", "--order", "20"],
+])
+def test_family_n_above_the_cap_exits_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv, "--n", str(MAX_FAMILY_N + 1))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and f"at most {MAX_FAMILY_N}" in err
+
+
 def test_koszul_sp3(capsys):
     code, out, _ = run(capsys, "koszul", "--family", "sp", "--n", "3")
     assert code == 0
@@ -96,6 +113,16 @@ def test_exterior_n3(capsys):
     code, out, _ = run(capsys, "exterior", "--n", "3")
     assert code == 0
     assert "maximal rank at every i" in out
+
+
+def test_exterior_n_outside_range_exits_2(capsys):
+    for n in (-2, 0, MAX_EXTERIOR_N + 1):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "exterior", "--n", str(n))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out and "--n must be between" in err
+    code, out, _ = run(capsys, "exterior", "--n", "1")
+    assert code == 0 and "maximal rank at every i" in out
 
 
 def test_catalan(capsys):
@@ -123,6 +150,14 @@ def test_verify_reference_suite(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "checks passed" in out
+
+
+@pytest.mark.parametrize("suite", ["euler", "structure", "froberg", "socle", "verdicts"])
+def test_verify_suite_by_name(capsys, suite):
+    code, out, _ = run(capsys, "verify", "--suite", suite)
+    assert code == 0
+    assert "FAIL" not in out
+    assert out.splitlines()[-1].endswith("checks passed")
 
 
 def test_output_is_deterministic(capsys):

@@ -1,5 +1,6 @@
 """Monomial bases, polynomials, and graded pieces."""
 
+from fractions import Fraction
 from math import comb
 from random import Random
 
@@ -7,11 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentkoszul.fields import GF, QQ
+from momentkoszul.fields import GF, QQ, InvalidFieldError
 from momentkoszul.ideals import family, generators
 from momentkoszul.linalg import InvalidInputError
-from momentkoszul.monomials import ambient_dimension, bidegree_of, monomial_basis
-from momentkoszul.pieces import ideal_piece, pieces_equal, quotient_dimension
+from momentkoszul.monomials import (
+    ambient_dimension,
+    basis_index,
+    bidegree_of,
+    monomial_basis,
+    sub_bidegrees,
+)
+from momentkoszul.pieces import (
+    ideal_piece,
+    ideal_span_vectors,
+    pieces_equal,
+    quotient_dimension,
+)
 from momentkoszul.polynomials import Polynomial, format_polynomial
 
 from helpers import brute_rank
@@ -123,3 +135,44 @@ def test_pieces_equal_detects_difference():
     sl = generators(family("sl", 2))
     assert not pieces_equal(gl, sl, (1, 1))
     assert pieces_equal(gl, gl, (2, 1))
+
+
+@st.composite
+def bihomogeneous_generators(draw):
+    """A few bihomogeneous polynomials of mixed bidegrees, rational coefficients."""
+    num_p, num_q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        w = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+        monos = draw(st.lists(st.sampled_from(monomial_basis(num_p, num_q, w)),
+                              min_size=1, max_size=4, unique=True))
+        coeffs = draw(st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool),
+            min_size=len(monos), max_size=len(monos)))
+        gens.append(Polynomial.from_dict(num_p, num_q, dict(zip(monos, coeffs))))
+    return gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(bihomogeneous_generators(), st.tuples(st.integers(0, 4), st.integers(0, 4)),
+       st.sampled_from([QQ, GF(32003)]))
+def test_span_vectors_match_polynomial_products(gens, v, fld):
+    num_p, num_q = gens[0].num_p, gens[0].num_q
+    index = basis_index(num_p, num_q, v)
+    expected = [
+        {index[mono]: fld.of(c) for mono, c in g.times_monomial(m).terms}
+        for g in gens
+        for m in monomial_basis(num_p, num_q, sub_bidegrees(v, g.bidegree()))
+    ]
+    got = list(ideal_span_vectors(gens, v, fld))
+    assert [list(vec.items()) for vec in got] == [list(vec.items()) for vec in expected]
+
+
+def test_span_vectors_embed_coefficients_only_for_used_generators():
+    fp = GF(32003)
+    # 1/32003 has no image in F_32003; the generator has bidegree (2, 0)
+    bad = Polynomial.from_dict(2, 1, {(2, 0, 0): Fraction(1, 32003), (1, 1, 0): 1})
+    good = Polynomial.from_dict(2, 1, {(1, 0, 1): 1})
+    assert len(list(ideal_span_vectors([bad, good], (1, 2), fp))) == 1
+    with pytest.raises(InvalidFieldError):
+        list(ideal_span_vectors([bad, good], (2, 1), fp))
