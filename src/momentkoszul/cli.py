@@ -5,8 +5,8 @@ verify.  All output is deterministic; exit codes are 0 for success or a
 passing verification, 1 for a verification mismatch, 2 for invalid input.
 
 Environment: MOMENTKOSZUL_FIELD sets the default coefficient field
-("qq" or "fp:P"); MOMENTKOSZUL_THREADS sets the worker count for the
-per-bidegree rank computations of the oracle.
+("qq" or "fp:P"); MOMENTKOSZUL_THREADS sets the worker count of the
+oracle, whose pool computes whole bidegrees (assembly, ranks, d.d checks).
 """
 
 from __future__ import annotations
@@ -35,6 +35,15 @@ MAX_FAMILY_N = 100
 
 #: Largest --n of ``exterior``; its time grows about fourfold per step of n.
 MAX_EXTERIOR_N = 8
+
+#: Largest --order of ``hilbert`` and ``poincare``: at 1000 the largest series
+#: (``poincare``, sp, n = 100) prints 4.4 MB in under a second, and the output
+#: grows with the order.
+MAX_SERIES_ORDER = 1000
+
+#: Largest --n of ``catalan``: C_7000 has 4,209 digits, under Python's default
+#: limit of 4,300 digits for converting an int to a string.
+MAX_CATALAN_N = 7000
 
 
 def _default_field():
@@ -134,9 +143,16 @@ def cmd_betti(args) -> int:
     return code
 
 
+def _order(args) -> int:
+    if not 0 <= args.order <= MAX_SERIES_ORDER:
+        raise InvalidInputError(
+            f"--order must be between 0 and {MAX_SERIES_ORDER}, got {args.order}")
+    return args.order
+
+
 def cmd_hilbert(args) -> int:
     f = _family(args)
-    series = hilbert_closed(f, args.order)
+    series = hilbert_closed(f, _order(args))
     if args.collapse:
         series = series.collapse("s")
     _emit(str(series), args.out)
@@ -145,7 +161,7 @@ def cmd_hilbert(args) -> int:
 
 def cmd_poincare(args) -> int:
     f = _family(args)
-    series = poincare_over_S(f, args.order)
+    series = poincare_over_S(f, _order(args))
     _emit(str(series), args.out)
     return 0
 
@@ -177,6 +193,8 @@ def cmd_exterior(args) -> int:
 
 
 def cmd_catalan(args) -> int:
+    if args.n > MAX_CATALAN_N:
+        raise InvalidInputError(f"--n must be at most {MAX_CATALAN_N}, got {args.n}")
     _emit(str(catalan(args.n)), args.out)
     return 0
 

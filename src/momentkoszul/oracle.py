@@ -11,12 +11,18 @@ where eps is an ascending tuple of i distinct variable indices and m runs
 over the quotient basis of (S/I)_{v - deg eps}.  The differential removes one
 variable at a time with the usual alternating sign and multiplies it into the
 quotient factor.
+
+``tor_over_S`` works one bidegree v at a time: a fresh ``KoszulOracle``
+builds, ranks and d.d-checks the complex of v and is dropped before the next
+v, serially or in a fork-pool worker.  Only the quotient ring's pieces and
+multiplication maps stay cached across bidegrees, until the call returns.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+from functools import partial
 from itertools import combinations
 
 from .betti import BettiTable
@@ -56,7 +62,12 @@ class ChainPiece:
 
 
 class KoszulOracle:
-    """Shared state for one (family ring, field) Tor computation."""
+    """Chain bases, differentials and ranks of the complex over one ring.
+
+    Every result is cached per (i, v) for the oracle's lifetime; the
+    differentials dominate its memory.  ``tor_over_S`` uses one oracle per
+    bidegree v.
+    """
 
     def __init__(self, ring: QuotientRing):
         self.ring = ring
@@ -163,17 +174,6 @@ class KoszulOracle:
         return ChainPiece(i, v, pairs, self.columns(i, v))
 
 
-# Worker-side state for the optional process pool; populated before fork so
-# children inherit it.  Ranks are pure functions of (i, v), so the merge is
-# schedule-independent.
-_POOL_ORACLE: KoszulOracle | None = None
-
-
-def _pool_rank(key):
-    i, v = key
-    return key, _POOL_ORACLE.rank(i, v)
-
-
 def _bounded_workers(workers: int) -> int:
     """A worker count clamped to 1..os.cpu_count()."""
     return max(1, min(workers, os.cpu_count() or 1))
@@ -186,24 +186,39 @@ def default_workers() -> int:
         return 1
 
 
-def _prefill_ranks(oracle: KoszulOracle, max_i: int, bounds, workers: int):
-    """Compute every needed rank on a fork pool; results land in the cache."""
-    keys = set()
-    for i in range(max_i + 1):
-        for v in bidegrees_up_to_total(bounds(i)):
-            if oracle.dimension(i, v):
-                keys.add((i, v))
-                keys.add((i + 1, v))
-    keys = sorted(k for k in keys if 1 <= k[0] <= oracle.ring.nvars)
-    global _POOL_ORACLE
-    _POOL_ORACLE = oracle
-    try:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            for key, rk in pool.imap_unordered(_pool_rank, keys, chunksize=4):
-                oracle._rank[key] = rk
-    finally:
-        _POOL_ORACLE = None
+def _bidegree_betti(ring: QuotientRing, check_dd: bool, task):
+    """``(v, {i: beta_i(v)})`` for ``task = (v, degrees)``, from an oracle
+    that holds the complex of v alone and is dropped on return."""
+    v, degrees = task
+    oracle = KoszulOracle(ring)
+    out = {}
+    for i in degrees:
+        out[i] = oracle.betti(i, v)
+        if check_dd and oracle.dimension(i, v):
+            oracle.check_dd(i, v)
+            oracle.check_dd(i + 1, v)
+    return v, out
+
+
+# The job of a pool worker, set in each child by the pool's initializer; the
+# fork hands it over without pickling the ring.
+_worker_job = None
+
+
+def _set_worker_job(job):
+    global _worker_job
+    _worker_job = job
+
+
+def _run_worker_job(task):
+    return _worker_job(task)
+
+
+def _map_on_pool(job, tasks, workers: int) -> list:
+    """``job`` of every task on a fork pool of ``workers``, in any order."""
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(workers, initializer=_set_worker_job, initargs=(job,)) as pool:
+        return list(pool.imap_unordered(_run_worker_job, tasks))
 
 
 def tor_over_S(f: RepFamily, max_i: int | None = None,
@@ -215,33 +230,48 @@ def tor_over_S(f: RepFamily, max_i: int | None = None,
     For homological degree i the bidegrees scanned are total(v) <= i + 3
     (or the explicit ``max_total_degree``).  Nonzero homology found on that
     boundary is recorded in ``boundary_hits``; the bound must then be raised
-    for the table to be trusted.  ``workers`` > 1 evaluates the independent
-    per-bidegree ranks on a process pool; the result is bit-identical.
+    for the table to be trusted.
+
+    The scanned pairs (i, v) are grouped by v and run highest total degree
+    first, so that a pool starts the largest complexes first.  Each
+    bidegree gets its own ``KoszulOracle``: it computes beta_i(v) for
+    that v's degrees i, checks d.d on (i, v) and (i + 1, v) wherever the
+    piece is nonzero, and is dropped, so its bases, differentials and ranks
+    live only while v is computed.  The quotient ring's pieces and
+    multiplication maps stay cached for the whole call.  ``workers`` > 1 maps
+    whole bidegrees, d.d checks included, over a fork pool; the entries and
+    ``boundary_hits`` are assembled in scan order (i, then v) either way, so
+    the result is bit-identical.
     """
     from .closed import projective_dimension
 
     ring = ring_for_family(f, fld)
     if max_i is None:
         max_i = projective_dimension(f)
-    oracle = KoszulOracle(ring)
+    # the complex stops at i = nvars, so higher degrees add only zeros
+    max_i = min(max_i, ring.nvars)
+    bounds = [i + 3 if max_total_degree is None else max_total_degree
+              for i in range(max_i + 1)]
+    keys = [(i, v) for i, bound in enumerate(bounds)
+            for v in bidegrees_up_to_total(bound)]
+    scan: dict[BiDegree, list[int]] = {}
+    for i, v in keys:
+        scan.setdefault(v, []).append(i)
+    tasks = sorted(scan.items(), key=lambda task: -total(task[0]))
+    job = partial(_bidegree_betti, ring, check_dd)
     workers = default_workers() if workers is None else _bounded_workers(workers)
     if workers > 1 and hasattr(os, "fork"):
-        bounds = (lambda i: max_total_degree) if max_total_degree is not None \
-            else (lambda i: i + 3)
-        _prefill_ranks(oracle, max_i, bounds, workers)
+        betti = dict(_map_on_pool(job, tasks, workers))
+    else:
+        betti = dict(map(job, tasks))
     entries = {}
     boundary = []
-    for i in range(max_i + 1):
-        bound = max_total_degree if max_total_degree is not None else i + 3
-        for v in bidegrees_up_to_total(bound):
-            b = oracle.betti(i, v)
-            if check_dd and oracle.dimension(i, v):
-                oracle.check_dd(i, v)
-                oracle.check_dd(i + 1, v)
-            if b:
-                entries[(i, v)] = b
-                if total(v) == bound:
-                    boundary.append((i, v))
+    for i, v in keys:
+        b = betti[v][i]
+        if b:
+            entries[(i, v)] = b
+            if total(v) == bounds[i]:
+                boundary.append((i, v))
     return BettiTable(str(f.kind.value), f.n, entries, source="oracle",
                       field=str(fld), boundary_hits=boundary)
 

@@ -3,7 +3,13 @@ import time
 
 import pytest
 
-from momentkoszul.cli import MAX_EXTERIOR_N, MAX_FAMILY_N, main
+from momentkoszul.cli import (
+    MAX_CATALAN_N,
+    MAX_EXTERIOR_N,
+    MAX_FAMILY_N,
+    MAX_SERIES_ORDER,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -100,6 +106,37 @@ def test_family_n_above_the_cap_exits_2_at_once(capsys, argv):
     code, _, err = run(capsys, *argv, "--n", str(MAX_FAMILY_N + 1))
     assert time.perf_counter() - start < 1
     assert code == 2 and f"at most {MAX_FAMILY_N}" in err
+
+
+@pytest.mark.parametrize("command", ["hilbert", "poincare"])
+@pytest.mark.parametrize("order", [-1, MAX_SERIES_ORDER + 1, 100000])
+def test_series_order_outside_range_exits_2_at_once(capsys, command, order):
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--family", "gl", "--n", "100",
+                         "--order", str(order))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and not out
+    assert f"between 0 and {MAX_SERIES_ORDER}" in err
+
+
+@pytest.mark.parametrize("command", ["hilbert", "poincare"])
+def test_series_order_at_the_cap_runs(capsys, command):
+    code, out, _ = run(capsys, command, "--family", "gl", "--n", "1",
+                       "--order", str(MAX_SERIES_ORDER))
+    assert code == 0 and out
+
+
+def test_catalan_n_above_the_cap_exits_2_at_once(capsys):
+    for n in (MAX_CATALAN_N + 1, 3000000):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "catalan", "--n", str(n))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out and f"at most {MAX_CATALAN_N}" in err
+
+
+def test_catalan_at_the_cap_prints_every_digit(capsys):
+    code, out, _ = run(capsys, "catalan", "--n", str(MAX_CATALAN_N))
+    assert code == 0 and len(out.strip()) == 4209
 
 
 def test_koszul_sp3(capsys):

@@ -1,12 +1,20 @@
 """The brute-force homological oracle against closed forms and known values."""
 
 import os
+import time
 
+import pytest
 
-from momentkoszul.closed import betti_closed, euler_check, hilbert_closed
+from momentkoszul.closed import (
+    betti_closed,
+    euler_check,
+    hilbert_closed,
+    projective_dimension,
+)
 from momentkoszul.fields import GF, QQ
 from momentkoszul.ideals import family
 from momentkoszul import oracle
+from momentkoszul.monomials import bidegrees_up_to_total
 from momentkoszul.oracle import (
     KoszulOracle,
     default_workers,
@@ -133,9 +141,77 @@ def test_explicit_worker_count_is_clamped(monkeypatch):
         raise AssertionError("a pool was started")
 
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(oracle, "_prefill_ranks", no_pool)
+    monkeypatch.setattr(oracle, "_map_on_pool", no_pool)
     table = tor_over_S(family("gl", 1), workers=1000000)
     assert table.entries == tor_over_S(family("gl", 1), workers=1).entries
+
+
+def test_each_oracle_of_tor_holds_one_bidegree(monkeypatch):
+    touched = {}
+    basis = KoszulOracle.basis
+
+    def recording_basis(self, i, v):
+        touched.setdefault(self, set()).add(v)
+        return basis(self, i, v)
+
+    monkeypatch.setattr(KoszulOracle, "basis", recording_basis)
+    tor_over_S(family("sl", 2), workers=1)
+    assert len(touched) > 1
+    assert all(len(degrees) == 1 for degrees in touched.values())
+
+
+def test_tor_ranks_and_checks_the_keys_of_one_shared_oracle(monkeypatch):
+    calls = set()
+    rank, check_dd = KoszulOracle.rank, KoszulOracle.check_dd
+
+    def recording_rank(self, i, v):
+        calls.add(("rank", i, v))
+        return rank(self, i, v)
+
+    def recording_check_dd(self, i, v):
+        calls.add(("dd", i, v))
+        return check_dd(self, i, v)
+
+    monkeypatch.setattr(KoszulOracle, "rank", recording_rank)
+    monkeypatch.setattr(KoszulOracle, "check_dd", recording_check_dd)
+    for kind, n in [("gl", 3), ("sl", 2), ("sp", 1)]:
+        f = family(kind, n)
+        calls.clear()
+        # one oracle for the whole scan, i outer, then v
+        shared = KoszulOracle(ring_for_family(f))
+        for i in range(projective_dimension(f) + 1):
+            for v in bidegrees_up_to_total(i + 3):
+                shared.betti(i, v)
+                if shared.dimension(i, v):
+                    shared.check_dd(i, v)
+                    shared.check_dd(i + 1, v)
+        expected = set(calls)
+        calls.clear()
+        tor_over_S(f, workers=1)
+        assert calls == expected, (kind, n)
+
+
+def test_d_squared_is_checked_inside_pool_workers(monkeypatch):
+    columns = KoszulOracle.columns
+
+    def one_flipped_sign(self, i, v):
+        cols = [dict(col) for col in columns(self, i, v)]
+        if i == 2 and cols and cols[0]:
+            pos = min(cols[0])
+            cols[0][pos] = -cols[0][pos]
+        return cols
+
+    monkeypatch.setattr(KoszulOracle, "columns", one_flipped_sign)
+    with pytest.raises(AssertionError, match=r"d\.d != 0"):
+        tor_over_S(family("sl", 2), workers=2)
+
+
+def test_pool_keeps_scan_order_and_boundary_hits():
+    f = family("sl", 2)
+    a = tor_over_S(f, max_total_degree=2, workers=1)
+    b = tor_over_S(f, max_total_degree=2, workers=2)
+    assert list(a.entries.items()) == list(b.entries.items())
+    assert a.boundary_hits == b.boundary_hits == [(1, (1, 1))]
 
 
 def test_chain_piece_exposes_labelled_basis():
@@ -158,6 +234,16 @@ def test_full_range_agreement_over_the_cross_check_prime():
         t = tor_over_S(f, fld=GF(32003))
         assert not betti_closed(f).diff(t), (kind, n)
         assert not t.boundary_hits
+
+
+def test_degrees_beyond_the_complex_cost_nothing():
+    f = family("sl", 2)
+    start = time.perf_counter()
+    far = tor_over_S(f, max_i=10 ** 6)
+    assert time.perf_counter() - start < 1
+    near = tor_over_S(f, max_i=f.num_p + f.num_q)
+    assert list(far.entries.items()) == list(near.entries.items())
+    assert far.boundary_hits == near.boundary_hits
 
 
 def test_explicit_total_degree_bound_is_respected():
