@@ -26,6 +26,20 @@ def _wedge_insert(mono: tuple[int, ...], x: int) -> tuple[int, tuple[int, ...]] 
     return sign, out
 
 
+def _wedge_pair(mono: tuple[int, ...], e: int,
+                f: int) -> tuple[int, tuple[int, ...]] | None:
+    """e wedge f wedge mono: f inserted first, then e in front."""
+    first = _wedge_insert(mono, f)
+    if first is None:
+        return None
+    s1, m1 = first
+    second = _wedge_insert(m1, e)
+    if second is None:
+        return None
+    s2, m2 = second
+    return s1 * s2, m2
+
+
 def wedge_pair_columns(n: int, i: int, fld: Field = QQ):
     """Columns of multiplication by sum_i e_i f_i from degree i to degree i+2."""
     target_index = {m: k for k, m in enumerate(combinations(range(2 * n), i + 2))}
@@ -34,15 +48,10 @@ def wedge_pair_columns(n: int, i: int, fld: Field = QQ):
         # distinct j give distinct target monomials: no entries collide
         col: dict[int, object] = {}
         for j in range(n):
-            first = _wedge_insert(mono, n + j)      # f_j first,
-            if first is None:
-                continue
-            s1, m1 = first
-            second = _wedge_insert(m1, j)           # then e_j in front
-            if second is None:
-                continue
-            s2, m2 = second
-            col[target_index[m2]] = fld.of(s1 * s2)
+            term = _wedge_pair(mono, j, n + j)
+            if term is not None:
+                sign, m = term
+                col[target_index[m]] = fld.of(sign)
         cols.append(col)
     return cols
 
@@ -121,15 +130,10 @@ def _ideal_piece_dim(n: int, pairs, a: int, b: int, fld: Field) -> int:
     ech = Echelon(fld.p)
     for (i, j) in pairs:
         for mu in _bigraded_basis(n, a - 1, b - 1):
-            first = _wedge_insert(mu, n + j)
-            if first is None:
-                continue
-            s1, m1 = first
-            second = _wedge_insert(m1, i)
-            if second is None:
-                continue
-            s2, m2 = second
-            ech.insert({index[m2]: s1 * s2})
+            term = _wedge_pair(mu, i, n + j)
+            if term is not None:
+                sign, m = term
+                ech.insert({index[m]: sign})
     return ech.dimension
 
 

@@ -186,7 +186,7 @@ def default_workers() -> int:
         return 1
 
 
-def _bidegree_betti(ring: QuotientRing, check_dd: bool, task):
+def _bidegree_betti(ring: QuotientRing, task):
     """``(v, {i: beta_i(v)})`` for ``task = (v, degrees)``, from an oracle
     that holds the complex of v alone and is dropped on return."""
     v, degrees = task
@@ -194,7 +194,7 @@ def _bidegree_betti(ring: QuotientRing, check_dd: bool, task):
     out = {}
     for i in degrees:
         out[i] = oracle.betti(i, v)
-        if check_dd and oracle.dimension(i, v):
+        if oracle.dimension(i, v):
             oracle.check_dd(i, v)
             oracle.check_dd(i + 1, v)
     return v, out
@@ -223,8 +223,7 @@ def _map_on_pool(job, tasks, workers: int) -> list:
 
 def tor_over_S(f: RepFamily, max_i: int | None = None,
                max_total_degree: int | None = None,
-               fld: Field = QQ, check_dd: bool = True,
-               workers: int | None = None) -> BettiTable:
+               fld: Field = QQ, workers: int | None = None) -> BettiTable:
     """Graded Betti numbers of S/I over S, by exact rank per bidegree.
 
     For homological degree i the bidegrees scanned are total(v) <= i + 3
@@ -235,8 +234,8 @@ def tor_over_S(f: RepFamily, max_i: int | None = None,
     The scanned pairs (i, v) are grouped by v and run highest total degree
     first, so that a pool starts the largest complexes first.  Each
     bidegree gets its own ``KoszulOracle``: it computes beta_i(v) for
-    that v's degrees i, checks d.d on (i, v) and (i + 1, v) wherever the
-    piece is nonzero, and is dropped, so its bases, differentials and ranks
+    that v's degrees i, always checks d.d on (i, v) and (i + 1, v) wherever
+    the piece is nonzero, and is dropped, so its bases, differentials and ranks
     live only while v is computed.  The quotient ring's pieces and
     multiplication maps stay cached for the whole call.  ``workers`` > 1 maps
     whole bidegrees, d.d checks included, over a fork pool; the entries and
@@ -258,7 +257,7 @@ def tor_over_S(f: RepFamily, max_i: int | None = None,
     for i, v in keys:
         scan.setdefault(v, []).append(i)
     tasks = sorted(scan.items(), key=lambda task: -total(task[0]))
-    job = partial(_bidegree_betti, ring, check_dd)
+    job = partial(_bidegree_betti, ring)
     workers = default_workers() if workers is None else _bounded_workers(workers)
     if workers > 1 and hasattr(os, "fork"):
         betti = dict(_map_on_pool(job, tasks, workers))
@@ -287,41 +286,20 @@ def hilbert_oracle(f: RepFamily, order: int, fld: Field = QQ) -> TruncatedSeries
     return TruncatedSeries.make(("s", "t"), order, coeffs)
 
 
-def _socle_columns(ring: QuotientRing, v: BiDegree):
-    """Columns of the stacked multiplication map (S/I)_v -> sum_x (S/I)_{v+deg x}."""
-    dim = ring.dim(v)
-    offsets = []
-    off = 0
-    mults = []
-    for x in range(ring.nvars):
-        w = (v[0] + 1, v[1]) if x < ring.num_p else (v[0], v[1] + 1)
-        offsets.append(off)
-        mults.append(ring.mult_by_var(x, v))
-        off += ring.dim(w)
-    cols = []
-    for pos in range(dim):
-        col = {}
-        for x in range(ring.nvars):
-            for tpos, c in mults[x][pos].items():
-                col[offsets[x] + tpos] = c
-        cols.append(col)
-    return cols
-
-
 def socle(f: RepFamily, max_total_degree: int, fld: Field = QQ) -> dict[BiDegree, int]:
-    """Dimension, per bidegree, of the annihilator of all the variables."""
+    """Dimension, per bidegree v, of the annihilator of all the variables.
+
+    That annihilator in degree v is the kernel of the top Koszul
+    differential on K_N = (S/I)_v, N = ``ring.nvars``, so it is
+    Tor_N^S(S/I, k) in bidegree v + (num_p, num_q).
+    """
     ring = ring_for_family(f, fld)
+    oracle = KoszulOracle(ring)
     out = {}
     for v in bidegrees_up_to_total(max_total_degree):
         if v == (0, 0):
             continue
-        dim = ring.dim(v)
-        if dim == 0:
-            continue
-        ech = Echelon(fld.p)
-        for col in _socle_columns(ring, v):
-            ech.insert(col)
-        k = dim - ech.dimension
+        k = oracle.betti(ring.nvars, (v[0] + ring.num_p, v[1] + ring.num_q))
         if k:
             out[v] = k
     return out
@@ -331,11 +309,14 @@ def depth_zero_witness(f: RepFamily, fld: Field = QQ,
                        max_total_degree: int = 4) -> tuple[BiDegree, str] | None:
     """A nonzero low-degree socle element (witnessing depth zero), if any."""
     ring = ring_for_family(f, fld)
+    oracle = KoszulOracle(ring)
     names = variable_names(ring.num_p, ring.num_q, f.doubled_names)
     for v in bidegrees_up_to_total(max_total_degree):
         if v == (0, 0) or ring.dim(v) == 0:
             continue
-        kernel = kernel_of_columns(_socle_columns(ring, v), fld)
+        # the one block of K_N in this bidegree is (S/I)_v itself
+        top = (v[0] + ring.num_p, v[1] + ring.num_q)
+        kernel = kernel_of_columns(oracle.columns(ring.nvars, top), fld)
         if kernel:
             combo = kernel[0]
             parts = []

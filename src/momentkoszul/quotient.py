@@ -3,21 +3,22 @@
 Each bidegree v gets a fixed section of the projection S_v -> (S/I)_v: the
 ideal piece is kept in reduced row-echelon form and the quotient basis is the
 complement of the pivot monomials, so normal forms and multiplication by a
-variable become concrete sparse matrices.  Everything is cached per ring and
-computed lazily; all choices are canonical for the fixed monomial order, so
-repeated runs produce identical matrices.
+variable become concrete sparse matrices.  The pivots are the lex-leading
+monomials of I_v, so the quotient basis is the set of standard monomials and
+is closed under division.  Everything is cached per ring and computed
+lazily; all choices are canonical for the fixed monomial order, so repeated
+runs produce identical matrices.
 """
 
 from __future__ import annotations
 
 from .fields import QQ, Field
-from .linalg import Echelon, axpy
+from .linalg import Echelon
 from .monomials import (
     BiDegree,
     ambient_dimension,
     basis_index,
     monomial_basis,
-    sub_bidegrees,
 )
 from .pieces import ideal_span_vectors
 
@@ -47,7 +48,6 @@ class QuotientRing:
         self.field = fld
         self._pieces: dict[BiDegree, QuotientPiece] = {}
         self._mult: dict[tuple[int, BiDegree], list[dict[int, object]]] = {}
-        self._mult_mono: dict[tuple, list[dict[int, object]]] = {}
         self._ideal_rank: dict[BiDegree, int] = {}
 
     @property
@@ -124,30 +124,6 @@ class QuotientRing:
             shifted = mono[:x] + (mono[x] + 1,) + mono[x + 1:]
             cols.append(self.nf(w, {tgt_index[shifted]: 1}))
         self._mult[key] = cols
-        return cols
-
-    def mult_by_monomial(self, mono, v: BiDegree) -> list[dict]:
-        """Columns of multiplication by a monomial, composed variable by variable."""
-        key = (mono, v)
-        got = self._mult_mono.get(key)
-        if got is not None:
-            return got
-        p = self.field.p
-        # identity start
-        cols = [{k: 1} for k in range(self.dim(v))]
-        w = v
-        for x, e in enumerate(mono):
-            for _ in range(e):
-                step = self.mult_by_var(x, w)
-                new_cols = []
-                for col in cols:
-                    acc: dict[int, object] = {}
-                    for pos, c in col.items():
-                        axpy(acc, c, step[pos], p)
-                    new_cols.append(acc)
-                cols = new_cols
-                w = (w[0] + 1, w[1]) if x < self.num_p else (w[0], w[1] + 1)
-        self._mult_mono[key] = cols
         return cols
 
     def monomial_label(self, v: BiDegree, position: int) -> tuple:

@@ -10,6 +10,14 @@ the canonical kernel rows not already reached by variable multiples of
 lower-degree kernel elements.  Minimality (no unit entry in any
 presentation) is asserted as each generator is chosen.
 
+The kernel of d_s has one column per (generator h, quotient basis monomial
+m).  The column of (h, 1) is h's presentation; for m != 1 it is x times the
+column of (h, m/x), where x is the first variable dividing m.  The quotient
+basis is the set of standard monomials, closed under division, so m/x is a
+basis monomial one total degree lower and its column was built just before.
+The columns of a degree are dropped once both of their variable multiples
+are built, and those of the top total degree are never kept.
+
 Generators above the configured degree bound are invisible, but they cannot
 influence Betti numbers inside the bound, so the reported window is exact.
 """
@@ -20,7 +28,13 @@ from .betti import BettiTable
 from .fields import QQ, Field
 from .ideals import RepFamily
 from .linalg import Echelon, axpy, kernel_of_columns
-from .monomials import BiDegree, bidegrees_up_to_total, sub_bidegrees
+from .monomials import (
+    BiDegree,
+    basis_index,
+    bidegrees_up_to_total,
+    sub_bidegrees,
+    total,
+)
 from .quotient import QuotientRing, ring_for_family
 
 
@@ -30,60 +44,46 @@ class _Module:
     def __init__(self, ring: QuotientRing, gens: list[BiDegree]):
         self.ring = ring
         self.gens = gens
-        self._blocks: dict[BiDegree, tuple[dict, int, list]] = {}
+        self._blocks: dict[BiDegree, tuple[dict, list]] = {}
 
     def blocks(self, v: BiDegree):
-        """Returns (offsets, total_dim, owners): offsets[gen] is the position
-        of the generator's block; owners[pos] = (gen, w_rest, inner)."""
+        """Returns (offsets, owners): offsets[gen] is the position of the
+        generator's block; owners[pos] = (gen, w_rest, inner)."""
         got = self._blocks.get(v)
         if got is not None:
             return got
         offsets = {}
         owners = []
-        off = 0
         for gi, w in enumerate(self.gens):
             rest = sub_bidegrees(v, w)
             if rest[0] < 0 or rest[1] < 0:
                 continue
             d = self.ring.dim(rest)
             if d:
-                offsets[gi] = off
+                offsets[gi] = len(owners)
                 owners.extend((gi, rest, k) for k in range(d))
-                off += d
-        result = (offsets, off, owners)
+        result = (offsets, owners)
         self._blocks[v] = result
         return result
 
-    def _image(self, v: BiDegree, w_target: BiDegree, vec: dict, columns) -> dict:
-        """Image in degree w_target of a degree-v element under the map whose
-        columns on the quotient piece of degree ``rest`` are ``columns(rest)``."""
-        p = self.ring.field.p
-        _, _, owners = self.blocks(v)
+    def multiply_by_var(self, x: int, v: BiDegree, vec: dict) -> dict:
+        """Image in degree v + deg(x) of a degree-v element under variable x."""
+        ring = self.ring
+        p = ring.field.p
+        _, owners = self.blocks(v)
         # one generator's terms share ``rest`` and land in one target block
         per_gen: dict[int, dict] = {}
         for pos, c in vec.items():
             gi, rest, inner = owners[pos]
-            axpy(per_gen.setdefault(gi, {}), c, columns(rest)[inner], p)
-        offsets, _, _ = self.blocks(w_target)
+            axpy(per_gen.setdefault(gi, {}), c, ring.mult_by_var(x, rest)[inner], p)
+        e = ring.var_bidegree(x)
+        offsets, _ = self.blocks((v[0] + e[0], v[1] + e[1]))
         out: dict[int, object] = {}
         for gi, acc in per_gen.items():
             off = offsets.get(gi)
             for tpos, m in acc.items():
                 out[off + tpos] = m
         return out
-
-    def multiply_by_var(self, x: int, v: BiDegree, vec: dict) -> dict:
-        """Image in degree v + deg(x) of a degree-v element under variable x."""
-        e = self.ring.var_bidegree(x)
-        return self._image(v, (v[0] + e[0], v[1] + e[1]), vec,
-                           lambda rest: self.ring.mult_by_var(x, rest))
-
-    def multiply_by_monomial(self, mono, v: BiDegree, vec: dict) -> dict:
-        """Image in degree v + deg(mono) of a degree-v element."""
-        ring = self.ring
-        w_target = (v[0] + sum(mono[:ring.num_p]), v[1] + sum(mono[ring.num_p:]))
-        return self._image(v, w_target, vec,
-                           lambda rest: ring.mult_by_monomial(mono, rest))
 
 
 def resolve_k_over_quotient(f: RepFamily, max_i: int, max_total_degree: int,
@@ -121,7 +121,7 @@ def resolve_k_over_quotient(f: RepFamily, max_i: int, max_total_degree: int,
             canon = Echelon(fld.p)
             for kv in kvecs:
                 canon.insert(kv)
-            _, _, owners = module.blocks(v)
+            _, owners = module.blocks(v)
             for row_items in canon.canonical_rows():
                 row = dict(row_items)
                 if not span.insert(row):
@@ -141,19 +141,33 @@ def resolve_k_over_quotient(f: RepFamily, max_i: int, max_total_degree: int,
         next_module = _Module(ring, new_gens)
         if step == max_i:
             break
-        # kernel of d_step: one column per (generator, quotient basis monomial)
+        # kernel of d_step: one column per (generator h, quotient basis
+        # monomial m), in the order of next_module's basis
         kernels = {}
+        built: dict[BiDegree, list[dict]] = {}
         for v in bidegs:
+            _, owners = next_module.blocks(v)
             columns = []
-            for w_h, col in zip(new_gens, new_cols):
-                rest = sub_bidegrees(v, w_h)
-                if rest[0] < 0 or rest[1] < 0 or ring.dim(rest) == 0:
+            for gi, rest, inner in owners:
+                if rest == (0, 0):
+                    columns.append(new_cols[gi])
                     continue
-                for mono_idx in range(ring.dim(rest)):
-                    mono = ring.monomial_label(rest, mono_idx)
-                    columns.append(module.multiply_by_monomial(mono, w_h, col))
+                # x times the column of (h, m/x), built one total degree lower
+                mono = ring.monomial_label(rest, inner)
+                x = next(y for y, e in enumerate(mono) if e)
+                e_x = ring.var_bidegree(x)
+                u, lower = sub_bidegrees(v, e_x), sub_bidegrees(rest, e_x)
+                below = mono[:x] + (mono[x] - 1,) + mono[x + 1:]
+                k = ring.piece(lower).positions[
+                    basis_index(ring.num_p, ring.num_q, lower)[below]]
+                col = built[u][next_module.blocks(u)[0][gi] + k]
+                columns.append(module.multiply_by_var(x, u, col))
             if columns:
                 kernels[v] = kernel_of_columns(columns, fld)
+                if total(v) < max_total_degree:
+                    built[v] = columns
+            # degree u is read at u + (1, 0) and, last, at u + (0, 1) = v
+            built.pop((v[0], v[1] - 1), None)
         module = next_module
 
     return BettiTable(str(f.kind.value), f.n, entries,

@@ -13,9 +13,6 @@ from .closed import (
     froberg_product,
     hilbert_closed,
     poincare_k_over_so,
-    poincare_over_S,
-    projective_dimension,
-    roos_series,
 )
 from .combinat import (
     catalan,

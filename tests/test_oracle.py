@@ -14,6 +14,7 @@ from momentkoszul.closed import (
 from momentkoszul.fields import GF, QQ
 from momentkoszul.ideals import family
 from momentkoszul import oracle
+from momentkoszul.linalg import axpy
 from momentkoszul.monomials import bidegrees_up_to_total
 from momentkoszul.oracle import (
     KoszulOracle,
@@ -99,6 +100,36 @@ def test_depth_witnesses():
     assert depth_zero_witness(family("so", 3)) is None
     v, text = depth_zero_witness(family("sl", 2))
     assert v == (1, 1) and text  # the class of the diagonal quadric
+
+
+@pytest.mark.parametrize("kind", ["sl", "sp"])
+def test_depth_witness_kernels_are_killed_by_every_variable(monkeypatch, kind):
+    f = family(kind, 2)
+    ring = ring_for_family(f)
+    built = []  # [(v, kernel vectors)] as depth_zero_witness builds them
+    columns, kernel_of_columns = KoszulOracle.columns, oracle.kernel_of_columns
+
+    def recording_columns(self, i, top):
+        built.append(((top[0] - ring.num_p, top[1] - ring.num_q), []))
+        return columns(self, i, top)
+
+    def recording_kernel(cols, fld):
+        kernel = kernel_of_columns(cols, fld)
+        built[-1][1].extend(kernel)
+        return kernel
+
+    monkeypatch.setattr(KoszulOracle, "columns", recording_columns)
+    monkeypatch.setattr(oracle, "kernel_of_columns", recording_kernel)
+    assert depth_zero_witness(f) is not None
+    assert built[-1][1]
+    for v, kernel in built:
+        for vec in kernel:
+            for x in range(ring.nvars):
+                mult = ring.mult_by_var(x, v)
+                image = {}
+                for pos, c in vec.items():
+                    axpy(image, c, mult[pos])
+                assert not image, (v, vec, x)
 
 
 def test_oracle_equals_closed_small_over_both_fields():

@@ -1,8 +1,12 @@
 """Minimal free resolutions of the residue field over the quotient rings."""
 
+import pytest
+
 from momentkoszul.closed import froberg_product, hilbert_closed, roos_series
 from momentkoszul.fields import GF
 from momentkoszul.ideals import family
+from momentkoszul.monomials import basis_index, bidegrees_up_to_total
+from momentkoszul.quotient import ring_for_family
 from momentkoszul.resolution import resolve_k_over_quotient
 from momentkoszul.verify import table_poincare_totals
 
@@ -67,3 +71,34 @@ def test_sl3_resolution_over_qq_is_symmetric_and_matches_prime_field():
     b = resolve_k_over_quotient(family("sl", 3), 5, 6, fld=GF(32003))
     assert a.is_symmetric()
     assert a.entries == b.entries
+
+
+@pytest.mark.parametrize("kind,n", [(k, n) for k in ("gl", "sl", "so", "sp")
+                                    for n in (1, 2)] + [("sl", 3)])
+def test_quotient_basis_is_closed_under_division(kind, n):
+    # the resolution builds the column of m from that of m/x
+    ring = ring_for_family(family(kind, n))
+    for v in bidegrees_up_to_total(5):
+        for inner in range(ring.dim(v)):
+            mono = ring.monomial_label(v, inner)
+            for x, e in enumerate(mono):
+                if not e:
+                    continue
+                e_x = ring.var_bidegree(x)
+                lower = (v[0] - e_x[0], v[1] - e_x[1])
+                below = mono[:x] + (e - 1,) + mono[x + 1:]
+                j = basis_index(ring.num_p, ring.num_q, lower)[below]
+                assert j in ring.piece(lower).positions, (v, mono, x)
+
+
+@pytest.mark.parametrize("kind,n,max_i,max_total", [("sp", 2, 4, 6),
+                                                    ("so", 3, 5, 6)])
+def test_benchmark_resolutions_are_symmetric_and_field_independent(
+        kind, n, max_i, max_total):
+    a = resolve_k_over_quotient(family(kind, n), max_i, max_total)
+    b = resolve_k_over_quotient(family(kind, n), max_i, max_total,
+                                fld=GF(32003))
+    assert a.is_symmetric()
+    assert a.entries == b.entries
+    if kind == "sp":
+        assert a.top(3) == 4
