@@ -12,10 +12,19 @@ over the quotient basis of (S/I)_{v - deg eps}.  The differential removes one
 variable at a time with the usual alternating sign and multiplies it into the
 quotient factor.
 
+The d.d check does not multiply the two differentials.  On the column
+(eps, m), d_{i-1} . d_i is the sum over pairs {a, b} of eps of
++-(x_a x_b - x_b x_a) m, so it vanishes exactly when the differential is
+assembled with those signs and every square x_a x_b = x_b x_a commutes on the
+quotient piece of m.  ``check_dd`` verifies every entry of the assembled
+differential against the multiplication maps, and each square once per ring;
+the lower differential is built only where it is ranked.
+
 ``tor_over_S`` works one bidegree v at a time: a fresh ``KoszulOracle``
 builds, ranks and d.d-checks the complex of v and is dropped before the next
-v, serially or in a fork-pool worker.  Only the quotient ring's pieces and
-multiplication maps stay cached across bidegrees, until the call returns.
+v, serially or in a fork-pool worker.  Only the quotient ring's pieces,
+multiplication maps and checked squares stay cached across bidegrees, until
+the call returns.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from itertools import combinations
 from .betti import BettiTable
 from .fields import QQ, Field
 from .ideals import RepFamily
-from .linalg import Echelon, axpy, kernel_of_columns, transpose
+from .linalg import Echelon, kernel_of_columns, transpose
 from .monomials import BiDegree, bidegrees_up_to_total, sub_bidegrees, total
 from .polynomials import format_monomial, variable_names
 from .quotient import QuotientRing, ring_for_family
@@ -144,17 +153,58 @@ class KoszulOracle:
         return ech.dimension
 
     def check_dd(self, i: int, v: BiDegree):
-        """Assert d_{i-1} . d_i = 0 on the bidegree-v piece."""
-        if i < 2 or i > self.ring.nvars or (i, v) in self._dd_done:
+        """Assert d_{i-1} . d_i = 0 on the bidegree-v piece, without the product.
+
+        On the column (eps, m), m in (S/I)_w with w = v - deg eps, the
+        composite lands in the blocks eps minus {a, b} as
+        +-(x_a x_b m - x_b x_a m): removing a then b and b then a reach the
+        same block with opposite signs.  So d.d = 0 exactly when
+
+        * the assembly holds: ``columns(i, v)`` has one column per basis
+          element, holding exactly the entries (-1)^r x_r m of its removals
+          at the offsets of ``basis(i - 1, v)``, and
+        * every square commutes: x_a x_b = x_b x_a on (S/I)_w for each pair
+          {a, b} of each block (``QuotientRing.commutes``).
+
+        This covers what the matrix product covers: built from the same
+        multiplication maps, the product is zero exactly when those squares
+        commute, and any wrong entry of ``columns(i, v)`` fails the assembly
+        whether or not the product would show it.  ``columns(i - 1, v)`` is
+        not built; where it is ranked, its own check covers it, which is why
+        i = 1 (where d_0 = 0) checks the assembly alone.
+        """
+        ring = self.ring
+        if i < 1 or i > ring.nvars or (i, v) in self._dd_done:
             return
         self._dd_done.add((i, v))
-        p = self.ring.field.p
-        lower = self.columns(i - 1, v)
-        for col in self.columns(i, v):
-            acc: dict[int, object] = {}
-            for pos, c in col.items():
-                axpy(acc, c, lower[pos], p)
-            assert not acc, f"d.d != 0 at i={i}, v={v}"
+        fail = AssertionError(f"d.d != 0 at i={i}, v={v}")
+        p = ring.field.p
+        cols = self.columns(i, v)
+        if len(cols) != self.dimension(i, v):
+            raise fail
+        target = {eps: off for eps, _, off, _ in self.basis(i - 1, v)[0]}
+        for eps, w, off, d in self.basis(i, v)[0]:
+            removals = []
+            for r, x in enumerate(eps):
+                t = target.get(eps[:r] + eps[r + 1:])
+                if t is not None:
+                    removals.append((r % 2, t, ring.mult_by_var(x, w)))
+            for pos in range(d):
+                col = cols[off + pos]
+                count = 0
+                for odd, t, mult in removals:
+                    entries = mult[pos]
+                    count += len(entries)
+                    for tpos, c in entries.items():
+                        if odd:
+                            c = -c if p is None else p - c
+                        if col.get(t + tpos) != c:
+                            raise fail
+                if len(col) != count:
+                    raise fail
+            for a, b in combinations(eps, 2):
+                if not ring.commutes(a, b, w):
+                    raise fail
 
     def betti(self, i: int, v: BiDegree) -> int:
         dim = self.dimension(i, v)
@@ -236,11 +286,11 @@ def tor_over_S(f: RepFamily, max_i: int | None = None,
     bidegree gets its own ``KoszulOracle``: it computes beta_i(v) for
     that v's degrees i, always checks d.d on (i, v) and (i + 1, v) wherever
     the piece is nonzero, and is dropped, so its bases, differentials and ranks
-    live only while v is computed.  The quotient ring's pieces and
-    multiplication maps stay cached for the whole call.  ``workers`` > 1 maps
-    whole bidegrees, d.d checks included, over a fork pool; the entries and
-    ``boundary_hits`` are assembled in scan order (i, then v) either way, so
-    the result is bit-identical.
+    live only while v is computed.  The quotient ring's pieces,
+    multiplication maps and checked squares stay cached for the whole call.
+    ``workers`` > 1 maps whole bidegrees, d.d checks included, over a fork
+    pool; the entries and ``boundary_hits`` are assembled in scan order
+    (i, then v) either way, so the result is bit-identical.
     """
     from .closed import projective_dimension
 

@@ -13,7 +13,7 @@ runs produce identical matrices.
 from __future__ import annotations
 
 from .fields import QQ, Field
-from .linalg import Echelon
+from .linalg import Echelon, axpy
 from .monomials import (
     BiDegree,
     ambient_dimension,
@@ -49,6 +49,7 @@ class QuotientRing:
         self._pieces: dict[BiDegree, QuotientPiece] = {}
         self._mult: dict[tuple[int, BiDegree], list[dict[int, object]]] = {}
         self._ideal_rank: dict[BiDegree, int] = {}
+        self._commutes: dict[tuple[int, int, BiDegree], bool] = {}
 
     @property
     def nvars(self) -> int:
@@ -116,7 +117,7 @@ class QuotientRing:
         if got is not None:
             return got
         src = self.piece(v)
-        w = (v[0] + 1, v[1]) if x < self.num_p else (v[0], v[1] + 1)
+        w = self._shifted(v, x)
         tgt_index = basis_index(self.num_p, self.num_q, w)
         cols = []
         for j in src.complement:
@@ -125,6 +126,37 @@ class QuotientRing:
             cols.append(self.nf(w, {tgt_index[shifted]: 1}))
         self._mult[key] = cols
         return cols
+
+    def commutes(self, x: int, y: int, v: BiDegree) -> bool:
+        """Whether x * y = y * x on (S/I)_v, composing ``mult_by_var`` maps.
+
+        Checked once per (x, y, v) and cached with the ring.  A piece above a
+        zero piece is zero, so a composite through a zero piece lands in the
+        zero piece (S/I)_{v + deg x + deg y}; there both sides are the zero
+        map and no multiplication map is built.
+        """
+        key = (x, y, v) if x < y else (y, x, v)
+        ok = self._commutes.get(key)
+        if ok is None:
+            top = self._shifted(self._shifted(v, x), y)
+            ok = not self.dim(top) or self._composite(x, y, v) == self._composite(y, x, v)
+            self._commutes[key] = ok
+        return ok
+
+    def _shifted(self, v: BiDegree, x: int) -> BiDegree:
+        return (v[0] + 1, v[1]) if x < self.num_p else (v[0], v[1] + 1)
+
+    def _composite(self, x: int, y: int, v: BiDegree) -> list[dict]:
+        """Columns of y * x on (S/I)_v, x applied first."""
+        p = self.field.p
+        second = self.mult_by_var(y, self._shifted(v, x))
+        out = []
+        for col in self.mult_by_var(x, v):
+            acc: dict = {}
+            for k, c in col.items():
+                axpy(acc, c, second[k], p)
+            out.append(acc)
+        return out
 
     def monomial_label(self, v: BiDegree, position: int) -> tuple:
         """The complement basis monomial at a quotient coordinate."""

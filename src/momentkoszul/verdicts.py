@@ -24,12 +24,18 @@ from .resolution import resolve_k_over_quotient
 
 @dataclass
 class Evidence:
+    """One certificate or obstruction: computed here when ``cited`` is None,
+    otherwise taken from the source ``cited`` names."""
+
     name: str
     detail: str
     passed: bool | None  # None: informational only
+    cited: str | None = None
 
     def __str__(self) -> str:
         status = {True: "pass", False: "fail", None: "info"}[self.passed]
+        if self.cited:
+            status += f", cited from {self.cited}"
         return f"[{status}] {self.name}: {self.detail}"
 
 
@@ -192,6 +198,7 @@ def verdict(f: RepFamily, fld: Field = QQ) -> KoszulVerdict:
             f"oracle bound exceeded at n={n}; the degree jump at step n+1 is "
             "established for the family in general and not recomputed here",
             False,
+            cited="arXiv 1705.02688",
         ))
         return KoszulVerdict(name, n, "not-koszul", ev)
 

@@ -95,3 +95,24 @@ def series_coeffs_one_var(numer, denom, order):
         out.append(acc)
     assert all(c.denominator == 1 for c in out)
     return [int(c) for c in out]
+
+
+def direct_dd(oracle, i: int, v) -> bool:
+    """Whether d_{i-1} . d_i != 0 on the (i, v) piece, by the matrix product.
+
+    The product of ``oracle.columns(i - 1, v)`` and ``oracle.columns(i, v)``,
+    column by column, reduced mod p over a prime field: the reference for the
+    oracle's own d.d check.
+    """
+    if i < 2 or i > oracle.ring.nvars:
+        return False
+    p = oracle.ring.field.p
+    lower = oracle.columns(i - 1, v)
+    for col in oracle.columns(i, v):
+        acc = {}
+        for pos, c in col.items():
+            for row, x in lower[pos].items():
+                acc[row] = acc.get(row, 0) + c * x
+        if any(y % p if p else y for y in acc.values()):
+            return True
+    return False

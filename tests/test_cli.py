@@ -7,6 +7,8 @@ from momentkoszul.cli import (
     MAX_CATALAN_N,
     MAX_EXTERIOR_N,
     MAX_FAMILY_N,
+    MAX_ORACLE_N,
+    MAX_ORACLE_N_SP,
     MAX_SERIES_ORDER,
     main,
 )
@@ -71,10 +73,34 @@ def test_betti_json_schema(capsys):
 
 
 def test_betti_oracle_resource_bound(capsys):
-    code, _, err = run(capsys, "betti", "--family", "sp", "--n", "3",
+    code, _, err = run(capsys, "betti", "--family", "sp", "--n", "4",
                        "--source", "oracle")
     assert code == 2
     assert "resource bound" in err
+
+
+@pytest.mark.parametrize("kind, n", [("sl", "6"), ("sp", "4")])
+@pytest.mark.parametrize("source", ["oracle", "both"])
+def test_betti_oracle_above_the_cap_exits_2_at_once(capsys, kind, n, source):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "betti", "--family", kind, "--n", n,
+                         "--source", source)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and not out
+    assert "--force" in err
+
+
+@pytest.mark.parametrize("kind, n", [("gl", MAX_ORACLE_N), ("sl", MAX_ORACLE_N),
+                                     ("so", MAX_ORACLE_N), ("sp", MAX_ORACLE_N_SP)])
+def test_betti_oracle_at_the_cap_runs(monkeypatch, capsys, kind, n):
+    import momentkoszul.cli as cli
+    from momentkoszul.closed import betti_closed
+
+    # the closed table stands in for the oracle, which takes seconds at the cap
+    monkeypatch.setattr(cli, "tor_over_S", lambda f, **_: betti_closed(f))
+    code, out, _ = run(capsys, "betti", "--family", kind, "--n", str(n),
+                       "--source", "both")
+    assert code == 0 and "tables agree" in out
 
 
 def test_invalid_inputs_exit_2(capsys):

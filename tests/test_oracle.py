@@ -4,6 +4,8 @@ import os
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from momentkoszul.closed import (
     betti_closed,
@@ -24,9 +26,9 @@ from momentkoszul.oracle import (
     socle,
     tor_over_S,
 )
-from momentkoszul.quotient import ring_for_family
+from momentkoszul.quotient import QuotientRing, ring_for_family
 
-from helpers import series_coeffs_one_var
+from helpers import direct_dd, series_coeffs_one_var
 
 
 def test_tor_hypersurface():
@@ -235,6 +237,110 @@ def test_d_squared_is_checked_inside_pool_workers(monkeypatch):
     monkeypatch.setattr(KoszulOracle, "columns", one_flipped_sign)
     with pytest.raises(AssertionError, match=r"d\.d != 0"):
         tor_over_S(family("sl", 2), workers=2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_d_squared_catches_an_entry_at_a_wrong_target_offset(monkeypatch, workers):
+    columns = KoszulOracle.columns
+
+    def one_moved_entry(self, i, v):
+        cols = columns(self, i, v)
+        if i != 3:
+            return cols
+        cols = [dict(col) for col in cols]
+        n_rows = self.dimension(i - 1, v)
+        for col in cols:
+            for row in sorted(col):
+                if row + 1 < n_rows and row + 1 not in col:
+                    col[row + 1] = col.pop(row)
+                    return cols
+        return cols
+
+    monkeypatch.setattr(KoszulOracle, "columns", one_moved_entry)
+    with pytest.raises(AssertionError, match=r"d\.d != 0"):
+        tor_over_S(family("sl", 2), workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_d_squared_catches_a_corrupted_multiplication_entry(monkeypatch, workers):
+    mult_by_var = QuotientRing.mult_by_var
+
+    def one_corrupted_entry(self, x, w):
+        fresh = (x, w) not in self._mult
+        cols = mult_by_var(self, x, w)
+        if fresh and (x, w) == (0, (1, 0)):
+            pos = min(cols[0])
+            cols[0][pos] += 1
+        return cols
+
+    monkeypatch.setattr(QuotientRing, "mult_by_var", one_corrupted_entry)
+    message = r"d\.d != 0" + (r" at i=4, v=\(3, 2\)" if workers == 1 else "")
+    with pytest.raises(AssertionError, match=message):
+        tor_over_S(family("sl", 2), workers=workers)
+
+
+def test_tor_builds_columns_only_for_the_keys_it_ranks(monkeypatch):
+    built, ranked = set(), set()
+    columns, rank = KoszulOracle.columns, KoszulOracle.rank
+
+    def recording_columns(self, i, v):
+        built.add((i, v))
+        return columns(self, i, v)
+
+    def recording_rank(self, i, v):
+        ranked.add((i, v))
+        return rank(self, i, v)
+
+    monkeypatch.setattr(KoszulOracle, "columns", recording_columns)
+    monkeypatch.setattr(KoszulOracle, "rank", recording_rank)
+    for kind, n in [("gl", 3), ("sl", 2), ("sp", 1)]:
+        built.clear()
+        ranked.clear()
+        tor_over_S(family(kind, n), workers=1)
+        assert built and built <= ranked, (kind, n, sorted(built - ranked))
+
+
+CORRUPTIONS = ("flip a sign", "move a row", "drop an entry", "add an entry")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_d_squared_check_raises_wherever_the_product_is_nonzero(data):
+    kind, n = data.draw(st.sampled_from([("gl", 2), ("sl", 2), ("so", 3), ("sp", 1)]))
+    fld = data.draw(st.sampled_from([QQ, GF(32003)]))
+    oracle = KoszulOracle(ring_for_family(family(kind, n), fld))
+    i = data.draw(st.integers(1, oracle.ring.nvars))
+    v = data.draw(st.sampled_from(list(bidegrees_up_to_total(i + 3))))
+    cols = [dict(col) for col in oracle.columns(i, v)]
+    assume(cols)
+    col = cols[data.draw(st.integers(0, len(cols) - 1))]
+    free = [row for row in range(oracle.dimension(i - 1, v)) if row not in col]
+    how = data.draw(st.sampled_from(CORRUPTIONS))
+    assume(col or how == "add an entry")
+    assume(free or how in ("flip a sign", "drop an entry"))
+    if how == "add an entry":
+        col[data.draw(st.sampled_from(free))] = 1
+    else:
+        row = data.draw(st.sampled_from(sorted(col)))
+        if how == "flip a sign":
+            col[row] = -col[row] if fld.p is None else fld.p - col[row]
+        elif how == "move a row":
+            col[data.draw(st.sampled_from(free))] = col.pop(row)
+        else:
+            del col[row]
+    columns = oracle.columns
+    oracle.columns = lambda j, u: cols if (j, u) == (i, v) else columns(j, u)
+
+    product_nonzero = direct_dd(oracle, i, v) or direct_dd(oracle, i + 1, v)
+    try:
+        oracle.check_dd(i, v)
+        oracle.check_dd(i + 1, v)
+    except AssertionError as exc:
+        assert "d.d != 0" in str(exc)
+        caught = True
+    else:
+        caught = False
+    assert caught or not product_nonzero, (kind, n, str(fld), i, v, how)
 
 
 def test_pool_keeps_scan_order_and_boundary_hits():

@@ -99,3 +99,13 @@ def test_evidence_is_recorded():
     names = [e.name for e in v.evidence]
     assert "diagonal-inequality-obstruction" in names
     assert v.verdict == "not-koszul"
+
+
+def test_only_the_sl_jump_beyond_the_oracle_is_cited():
+    v = verdict(family("sl", 4))
+    cited = [e for e in v.evidence if e.cited is not None]
+    assert [(e.name, e.cited) for e in cited] == \
+        [("resolution-top-degree-obstruction", "arXiv 1705.02688")]
+    assert "[fail, cited from arXiv 1705.02688] resolution-top-degree" in v.summary()
+    for kind, n in [("gl", 2), ("sl", 2), ("so", 3), ("sp", 3)]:
+        assert all(e.cited is None for e in verdict(family(kind, n)).evidence)
