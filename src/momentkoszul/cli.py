@@ -111,6 +111,12 @@ def _render_table(table: BettiTable, fmt: str) -> str:
     return table.render_text()
 
 
+def _warn_boundary(hits: list):
+    if hits:
+        print(f"warning: homology on the degree boundary at {hits}; "
+              "raise the bound", file=sys.stderr)
+
+
 def cmd_betti(args) -> int:
     f = _family(args)
     fld = parse_field(args.field) if args.field else _default_field()
@@ -129,10 +135,7 @@ def cmd_betti(args) -> int:
     if need_oracle:
         max_i = projective_dimension(f) if args.max_i is None else args.max_i
         tables["oracle"] = tor_over_S(f, max_i=max_i, fld=fld)
-        if tables["oracle"].boundary_hits:
-            print(f"warning: homology on the degree boundary at "
-                  f"{tables['oracle'].boundary_hits}; raise the bound",
-                  file=sys.stderr)
+        _warn_boundary(tables["oracle"].boundary_hits)
     for src, table in tables.items():
         pieces.append(_render_table(table, args.format))
     code = 0
@@ -178,7 +181,8 @@ def cmd_koszul(args) -> int:
     fld = parse_field(args.field) if args.field else _default_field()
     f.check_field(fld)
     v = verdict(f, fld)
-    _emit(v.summary(), args.out)
+    _warn_boundary(v.boundary_hits)
+    _emit(v.render_json() if args.format == "json" else v.summary(), args.out)
     return 0
 
 
@@ -260,6 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("koszul", help="Koszulness verdict with evidence")
     _family_args(p)
     p.add_argument("--field", default=None)
+    p.add_argument("--format", default="text", choices=["text", "json"])
     p.add_argument("--out")
     p.set_defaults(fn=cmd_koszul)
 

@@ -12,7 +12,8 @@ plain int arithmetic with no method call per scalar.
   the rank and the pivot set do not depend on insertion order.  Insertion
   reduces forward only; ``reduce`` and ``canonical_rows`` back-substitute once,
   on demand, to the reduced row-echelon form, which is a canonical invariant
-  of the subspace for the fixed index order.
+  of the subspace for the fixed index order.  Their results hold no integral
+  ``Fraction``: back-substitution over QQ can leave one, so both convert it.
 """
 
 from __future__ import annotations
@@ -78,6 +79,13 @@ class Echelon:
             return {j: x for j, x in vec.items() if x}
         return {j: x % p for j, x in vec.items() if x % p}
 
+    def _plain_ints(self, vec: dict) -> dict:
+        """``vec`` with every integral Fraction made a plain int (QQ only)."""
+        if self.p is not None:
+            return vec
+        return {j: x.numerator if x.denominator == 1 else x
+                for j, x in vec.items()}
+
     def _forward(self, vec: dict) -> dict:
         """Subtract rows from ``vec`` (in place) until its smallest index is
         not a pivot; empty exactly when ``vec`` lies in the span."""
@@ -136,12 +144,12 @@ class Echelon:
         rows, p = self.rows, self.p
         for j in [j for j in vec if j in rows]:
             axpy(vec, -vec[j], rows[j], p)
-        return vec
+        return self._plain_ints(vec)
 
     def canonical_rows(self) -> tuple[tuple[tuple[int, object], ...], ...]:
         """Reduced rows, sorted by pivot, entries sorted by index."""
         self._back_substitute()
-        return tuple(tuple(sorted(self.rows[piv].items()))
+        return tuple(tuple(sorted(self._plain_ints(self.rows[piv]).items()))
                      for piv in sorted(self.rows))
 
 

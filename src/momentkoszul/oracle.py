@@ -211,7 +211,8 @@ class KoszulOracle:
         if dim == 0:
             return 0
         b = dim - self.rank(i, v) - self.rank(i + 1, v)
-        assert b >= 0, (i, v, dim)
+        if b < 0:
+            raise AssertionError((i, v, dim))
         return b
 
     def chain_piece(self, i: int, v: BiDegree) -> ChainPiece:

@@ -4,11 +4,19 @@ built degree by degree.
 State per step: the free module F_s is a list of generator bidegrees; the
 presentation d_s is one column per generator, a sparse vector over the graded
 basis of F_{s-1} in the generator's bidegree.  For each bidegree v (scanned
-in increasing total degree, p-heavy first) the kernel of d_s is read off the
-reduced row-echelon form of its matrix; new generators of F_{s+1} are
-the canonical kernel rows not already reached by variable multiples of
-lower-degree kernel elements.  Minimality (no unit entry in any
-presentation) is asserted as each generator is chosen.
+in increasing total degree, p-heavy first) the kernel K_v of d_s is read off
+the reduced row-echelon form of its matrix.  The new generators of F_{s+1} in
+degree v span a complement of (m.K)_v in K_v: the span of the variable
+multiples x.K_{v - deg x} is built first, and stops as soon as it fills K_v
+(it lies inside K_v); then the kernel basis vectors, sparsest first (a stable
+sort, so the choice is deterministic), are added while they leave the span,
+and each one that does becomes a generator, until the span is K_v.
+
+Minimality (no unit entry in any presentation) is checked on every chosen
+vector and raises ``AssertionError`` even under ``python -O``.  That covers
+all of K_v: K_v = (m.K)_v + span(chosen), and no variable multiple has an
+entry at a generator of degree v, so an element of K_v with such an entry
+forces one on some chosen vector.
 
 The kernel of d_s has one column per (generator h, quotient basis monomial
 m).  The column of (h, 1) is h's presentation; for m != 1 it is x times the
@@ -110,28 +118,30 @@ def resolve_k_over_quotient(f: RepFamily, max_i: int, max_total_degree: int,
         new_cols: list[dict] = []
         for v in bidegs:
             kvecs = kernels.get(v, [])
-            if not kvecs:
+            dim = len(kvecs)
+            if not dim:
                 continue
+            # (m.K)_v lies inside K_v: stop once it fills K_v
             span = Echelon(fld.p)
             for x in range(ring.nvars):
                 e = ring.var_bidegree(x)
                 v_prev = (v[0] - e[0], v[1] - e[1])
                 for kv in kernels.get(v_prev, []):
+                    if span.dimension == dim:
+                        break
                     span.insert(module.multiply_by_var(x, v_prev, kv))
-            canon = Echelon(fld.p)
-            for kv in kvecs:
-                canon.insert(kv)
             _, owners = module.blocks(v)
-            for row_items in canon.canonical_rows():
-                row = dict(row_items)
-                if not span.insert(row):
+            for kv in sorted(kvecs, key=len):
+                if span.dimension == dim:
+                    break
+                if not span.insert(kv):
                     continue
-                for pos in row:
-                    gi, rest, _ = owners[pos]
-                    assert rest != (0, 0), \
-                        f"unit entry in presentation at step {step}, degree {v}"
+                for pos in kv:
+                    if owners[pos][1] == (0, 0):
+                        raise AssertionError(
+                            f"unit entry in presentation at step {step}, degree {v}")
                 new_gens.append(v)
-                new_cols.append(row)
+                new_cols.append(kv)
         for v in sorted(set(new_gens)):
             entries[(step, v)] = new_gens.count(v)
             if v[0] + v[1] == max_total_degree:

@@ -11,7 +11,8 @@ can never certify Koszulness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import json
+from dataclasses import asdict, dataclass, field as dc_field
 from math import comb
 
 from .betti import BettiTable
@@ -45,10 +46,20 @@ class KoszulVerdict:
     n: int
     verdict: str  # "koszul" | "not-koszul" | "undetermined"
     evidence: list[Evidence] = dc_field(default_factory=list)
+    # (i, v) of a computed resolution at its degree bound, as in BettiTable
+    boundary_hits: list = dc_field(default_factory=list)
 
     def summary(self) -> str:
         head = f"{self.family}_{self.n}: {self.verdict}"
         return "\n".join([head] + [f"  {e}" for e in self.evidence])
+
+    def render_json(self) -> str:
+        return json.dumps({
+            "family": self.family,
+            "n": self.n,
+            "verdict": self.verdict,
+            "evidence": [asdict(e) for e in self.evidence],
+        }, indent=2)
 
 
 def quadratic_monomial_certificate(gens) -> bool:
@@ -90,11 +101,12 @@ def serre_linear_strand_certificate(table: BettiTable) -> tuple[int, bool]:
     return s, s == pd
 
 
-def top_degree_obstruction(f: RepFamily, fld: Field = QQ,
-                           max_i: int | None = None,
-                           max_total_degree: int | None = None):
-    """First homological degree where the residue-field resolution jumps:
-    returns (i, top_i) with top_i > i, or None inside the window."""
+def resolution_jump(f: RepFamily, fld: Field = QQ,
+                    max_i: int | None = None,
+                    max_total_degree: int | None = None):
+    """``(jump, boundary_hits)`` of the residue-field resolution in the
+    window (default i <= n + 1, total degree <= n + 3): jump is the first
+    (i, top_i) with top_i > i, or None; boundary_hits is the table's."""
     n = f.n
     if max_i is None:
         max_i = n + 1
@@ -104,8 +116,16 @@ def top_degree_obstruction(f: RepFamily, fld: Field = QQ,
     for i in range(1, max_i + 1):
         top = table.top(i)
         if top is not None and top > i:
-            return i, top
-    return None
+            return (i, top), table.boundary_hits
+    return None, table.boundary_hits
+
+
+def top_degree_obstruction(f: RepFamily, fld: Field = QQ,
+                           max_i: int | None = None,
+                           max_total_degree: int | None = None):
+    """First homological degree where the residue-field resolution jumps:
+    returns (i, top_i) with top_i > i, or None inside the window."""
+    return resolution_jump(f, fld, max_i, max_total_degree)[0]
 
 
 def verdict(f: RepFamily, fld: Field = QQ) -> KoszulVerdict:
@@ -178,7 +198,7 @@ def verdict(f: RepFamily, fld: Field = QQ) -> KoszulVerdict:
                 None,
             ))
         if n <= 3:
-            jump = top_degree_obstruction(f, fld)
+            jump, hits = resolution_jump(f, fld)
             if jump is not None:
                 i, top = jump
                 ev.append(Evidence(
@@ -186,13 +206,13 @@ def verdict(f: RepFamily, fld: Field = QQ) -> KoszulVerdict:
                     f"top_{i} of the residue field resolution is {top} > {i}",
                     False,
                 ))
-                return KoszulVerdict(name, n, "not-koszul", ev)
+                return KoszulVerdict(name, n, "not-koszul", ev, hits)
             ev.append(Evidence(
                 "resolution-top-degree-obstruction",
                 "no jump found inside the resource window",
                 None,
             ))
-            return KoszulVerdict(name, n, "undetermined", ev)
+            return KoszulVerdict(name, n, "undetermined", ev, hits)
         ev.append(Evidence(
             "resolution-top-degree-obstruction",
             f"oracle bound exceeded at n={n}; the degree jump at step n+1 is "

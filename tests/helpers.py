@@ -116,3 +116,29 @@ def direct_dd(oracle, i: int, v) -> bool:
         if any(y % p if p else y for y in acc.values()):
             return True
     return False
+
+
+def unit_entry_kernel(real):
+    """A ``kernel_of_columns`` that breaks minimality once.
+
+    Wraps ``real``.  A column that is one of the vectors the wrapper returned
+    earlier is a generator's own presentation, so its index is the position
+    of a generator in the degree of the call.  In the first call with such a
+    position and a nonempty kernel, the first kernel vector gains entry 1 at
+    that position.
+    """
+    returned = {}  # id -> vector, kept alive so that ids are not reused
+    done = []
+
+    def kernel(columns, fld):
+        out = real(columns, fld)
+        if not done and out:
+            gen = next((j for j, col in enumerate(columns)
+                        if id(col) in returned), None)
+            if gen is not None:
+                out[0][gen] = 1
+                done.append(gen)
+        returned.update((id(kv), kv) for kv in out)
+        return out
+
+    return kernel

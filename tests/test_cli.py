@@ -172,6 +172,56 @@ def test_koszul_sp3(capsys):
     assert "525 > C(beta_1, 2) = 210" in out
 
 
+def test_koszul_json_says_which_evidence_is_cited(capsys):
+    code, out, _ = run(capsys, "koszul", "--family", "sl", "--n", "4",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "not-koszul"
+    assert payload["evidence"][-1] == {
+        "name": "resolution-top-degree-obstruction",
+        "detail": ("oracle bound exceeded at n=4; the degree jump at step n+1 "
+                   "is established for the family in general and not "
+                   "recomputed here"),
+        "passed": False,
+        "cited": "arXiv 1705.02688",
+    }
+    code, out, _ = run(capsys, "koszul", "--family", "sl", "--n", "3",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "not-koszul"
+    jump = payload["evidence"][-1]
+    assert jump["name"] == "resolution-top-degree-obstruction"
+    assert jump["passed"] is False and jump["cited"] is None
+
+
+def test_koszul_text_is_the_default_format(capsys):
+    _, text, _ = run(capsys, "koszul", "--family", "sp", "--n", "2")
+    _, explicit, _ = run(capsys, "koszul", "--family", "sp", "--n", "2",
+                         "--format", "text")
+    assert text == explicit
+    assert text.startswith("sp_2: not-koszul\n")
+
+
+def test_koszul_warns_about_boundary_hits(capsys, monkeypatch):
+    import momentkoszul.verdicts as verdicts
+    code, plain, err = run(capsys, "koszul", "--family", "sl", "--n", "2")
+    assert code == 0 and err == ""
+    real = verdicts.resolve_k_over_quotient
+
+    def narrowed(f, max_i, max_total_degree, fld):
+        # total degree 4 puts the step-3 jump to (3, 1), (1, 3) on the edge
+        return real(f, max_i, max_total_degree - 1, fld)
+
+    monkeypatch.setattr(verdicts, "resolve_k_over_quotient", narrowed)
+    code, out, err = run(capsys, "koszul", "--family", "sl", "--n", "2")
+    assert code == 0
+    assert out == plain
+    assert err == ("warning: homology on the degree boundary at "
+                   "[(3, (1, 3)), (3, (3, 1))]; raise the bound\n")
+
+
 def test_exterior_n3(capsys):
     code, out, _ = run(capsys, "exterior", "--n", "3")
     assert code == 0

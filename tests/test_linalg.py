@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentkoszul.fields import GF, QQ
+from momentkoszul.ideals import family
 from momentkoszul.linalg import (
     Echelon,
     LinearMap,
@@ -13,6 +14,8 @@ from momentkoszul.linalg import (
     rank,
     rank_of_vectors,
 )
+from momentkoszul.oracle import KoszulOracle
+from momentkoszul.quotient import ring_for_family
 
 from helpers import brute_rank, brute_rref
 
@@ -151,3 +154,21 @@ def test_kernel_of_fractional_columns(rows):
             for r, x in cols[j].items():
                 acc[r] = acc.get(r, 0) + c * x
         assert all(v == 0 for v in acc.values())
+
+
+def test_results_hold_no_integral_fraction():
+    # back-substitution over QQ leaves Fraction(1, 1) in one row of this
+    # kernel; kernel vectors become presentations of the resolution
+    columns = KoszulOracle(ring_for_family(family("sl", 3))).columns(3, (2, 2))
+    kernel = kernel_of_columns(columns, QQ)
+    assert kernel[8][34] == 1
+    for kv in kernel:
+        assert all(type(x) is int or x.denominator != 1 for x in kv.values())
+    # the same on a small case, for canonical_rows and for reduce
+    ech = Echelon()
+    ech.insert({0: 1, 1: Fraction(1, 2)})
+    ech.insert({1: 1, 2: 2})
+    assert ech.canonical_rows() == (((0, 1), (2, -1)), ((1, 1), (2, 2)))
+    assert all(type(x) is int for row in ech.canonical_rows() for _, x in row)
+    left = ech.reduce({0: Fraction(3, 2), 1: Fraction(1, 4)})
+    assert left == {2: 1} and type(left[2]) is int

@@ -362,6 +362,15 @@ def test_chain_piece_exposes_labelled_basis():
     assert eps_seen == {(0,), (1,)}
 
 
+def test_negative_betti_number_raises(monkeypatch):
+    oracle = KoszulOracle(ring_for_family(family("gl", 1)))
+    dim = oracle.dimension(1, (1, 1))
+    monkeypatch.setattr(KoszulOracle, "rank", lambda self, i, v: dim)
+    with pytest.raises(AssertionError) as info:
+        oracle.betti(1, (1, 1))
+    assert info.value.args == ((1, (1, 1), dim),)
+
+
 def test_full_range_agreement_over_the_cross_check_prime():
     # the same graded agreement as the rationals run, over F_32003
     ranges = [("gl", 1), ("gl", 2), ("gl", 3), ("sl", 1), ("sl", 2), ("sl", 3),

@@ -1,16 +1,27 @@
 """Minimal free resolutions of the residue field over the quotient rings."""
 
-import pytest
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from functools import cache
+from pathlib import Path
+from random import Random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import momentkoszul.resolution as resolution
 from momentkoszul.closed import froberg_product, hilbert_closed, roos_series
-from momentkoszul.fields import GF
+from momentkoszul.fields import GF, QQ
 from momentkoszul.ideals import family
 from momentkoszul.monomials import basis_index, bidegrees_up_to_total
 from momentkoszul.quotient import ring_for_family
 from momentkoszul.resolution import resolve_k_over_quotient
 from momentkoszul.verify import table_poincare_totals
 
-from helpers import series_coeffs_one_var
+from helpers import series_coeffs_one_var, unit_entry_kernel
 
 
 def test_gl1_residue_field_resolution():
@@ -102,3 +113,121 @@ def test_benchmark_resolutions_are_symmetric_and_field_independent(
     assert a.entries == b.entries
     if kind == "sp":
         assert a.top(3) == 4
+
+
+#: The tables of the four benchmark windows over QQ, recorded with another
+#: choice of generators (the reduced row-echelon rows of each kernel).
+BENCHMARK_TABLES = {
+    ("sl", 3, 5, 7): {
+        (0, (0, 0)): 1, (1, (0, 1)): 3, (1, (1, 0)): 3, (2, (0, 2)): 3,
+        (2, (1, 1)): 17, (2, (2, 0)): 3, (3, (0, 3)): 1, (3, (1, 2)): 39,
+        (3, (2, 1)): 39, (3, (3, 0)): 1, (4, (1, 3)): 45, (4, (1, 4)): 1,
+        (4, (2, 2)): 181, (4, (3, 1)): 45, (4, (4, 1)): 1, (5, (1, 4)): 26,
+        (5, (1, 5)): 3, (5, (2, 3)): 429, (5, (2, 4)): 6, (5, (3, 2)): 429,
+        (5, (4, 1)): 26, (5, (4, 2)): 6, (5, (5, 1)): 3
+    },
+    ("sp", 2, 4, 6): {
+        (0, (0, 0)): 1, (1, (0, 1)): 4, (1, (1, 0)): 4, (2, (0, 2)): 6,
+        (2, (1, 1)): 26, (2, (2, 0)): 6, (3, (0, 3)): 4, (3, (1, 2)): 64,
+        (3, (1, 3)): 20, (3, (2, 1)): 64, (3, (2, 2)): 15, (3, (3, 0)): 4,
+        (3, (3, 1)): 20, (4, (0, 4)): 1, (4, (1, 3)): 76, (4, (1, 4)): 100,
+        (4, (2, 2)): 251, (4, (2, 3)): 260, (4, (3, 1)): 76, (4, (3, 2)): 260,
+        (4, (4, 0)): 1, (4, (4, 1)): 100
+    },
+    ("so", 3, 5, 6): {
+        (0, (0, 0)): 1, (1, (0, 1)): 3, (1, (1, 0)): 3, (2, (0, 2)): 3,
+        (2, (1, 1)): 12, (2, (2, 0)): 3, (3, (0, 3)): 1, (3, (1, 2)): 19,
+        (3, (2, 1)): 19, (3, (3, 0)): 1, (4, (1, 3)): 15, (4, (2, 2)): 51,
+        (4, (3, 1)): 15, (5, (1, 4)): 6, (5, (2, 3)): 75, (5, (3, 2)): 75,
+        (5, (4, 1)): 6
+    },
+    ("gl", 3, 5, 6): {
+        (0, (0, 0)): 1, (1, (0, 1)): 3, (1, (1, 0)): 3, (2, (0, 2)): 3,
+        (2, (1, 1)): 18, (2, (2, 0)): 3, (3, (0, 3)): 1, (3, (1, 2)): 45,
+        (3, (2, 1)): 45, (3, (3, 0)): 1, (4, (1, 3)): 60, (4, (2, 2)): 234,
+        (4, (3, 1)): 60, (5, (1, 4)): 45, (5, (2, 3)): 636, (5, (3, 2)): 636,
+        (5, (4, 1)): 45
+    },
+}
+
+
+@pytest.mark.parametrize("window", list(BENCHMARK_TABLES),
+                         ids=lambda w: f"{w[0]}_{w[1]}")
+def test_benchmark_windows_keep_their_tables(window):
+    kind, n, max_i, max_total = window
+    t = resolve_k_over_quotient(family(kind, n), max_i, max_total)
+    assert t.entries == BENCHMARK_TABLES[window]
+    assert t.boundary_hits == []
+
+
+PROPERTY_FAMILIES = (("gl", 2), ("sl", 2), ("so", 3), ("sp", 1))
+FIELDS = {"QQ": QQ, "F_32003": GF(32003)}
+
+
+@cache
+def _plain_table(kind, n, field):
+    return resolve_k_over_quotient(family(kind, n), 4, 5, FIELDS[field])
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.sampled_from(PROPERTY_FAMILIES), st.sampled_from(sorted(FIELDS)),
+       st.integers(0, 2**32))
+def test_table_does_not_depend_on_the_kernel_basis(kind_n, field, seed):
+    # any basis of each kernel, in any order, gives the same table
+    kind, n = kind_n
+    p = FIELDS[field].p
+    rng = Random(seed)
+    real = resolution.kernel_of_columns
+
+    def scalar():
+        if p is not None:
+            return rng.randrange(1, p)
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 5),
+                        rng.randint(1, 4))
+
+    def shuffled_kernel(columns, fld):
+        out = real(columns, fld)
+        rng.shuffle(out)
+        scaled = []
+        for kv in out:
+            c = scalar()
+            scaled.append({j: c * x % p if p else c * x for j, x in kv.items()})
+        return scaled
+
+    expected = _plain_table(kind, n, field)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolution, "kernel_of_columns", shuffled_kernel)
+        got = resolve_k_over_quotient(family(kind, n), 4, 5, FIELDS[field])
+    assert got.entries == expected.entries
+    assert got.boundary_hits == expected.boundary_hits
+
+
+def test_minimality_check_catches_a_unit_entry(monkeypatch):
+    # sl_2 gains a generator in degree (3, 1) at step 3; the kernel of d_3
+    # is zero in total degree 3, so at step 4 the span of variable multiples
+    # in degree (3, 1) is empty and every kernel basis vector is chosen
+    monkeypatch.setattr(resolution, "kernel_of_columns",
+                        unit_entry_kernel(resolution.kernel_of_columns))
+    with pytest.raises(AssertionError,
+                       match=r"unit entry in presentation at step 4, "
+                             r"degree \(3, 1\)"):
+        resolve_k_over_quotient(family("sl", 2), 4, 5)
+
+
+def test_minimality_check_survives_python_O():
+    tests = Path(__file__).parent
+    script = (
+        "assert False, 'asserts are on'\n"
+        "import momentkoszul.resolution as r\n"
+        "from momentkoszul.ideals import family\n"
+        "from helpers import unit_entry_kernel\n"
+        "r.kernel_of_columns = unit_entry_kernel(r.kernel_of_columns)\n"
+        "r.resolve_k_over_quotient(family('sl', 2), 4, 5)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert ("AssertionError: unit entry in presentation at step 4, "
+            "degree (3, 1)") in proc.stderr
