@@ -118,6 +118,8 @@ def _warn_boundary(hits: list):
 
 
 def cmd_betti(args) -> int:
+    if args.max_i is not None and args.max_i < 0:
+        raise InvalidInputError(f"--max-i must be at least 0, got {args.max_i}")
     f = _family(args)
     fld = parse_field(args.field) if args.field else _default_field()
     f.check_field(fld)

@@ -80,6 +80,17 @@ def basis_index(num_p: int, num_q: int, v: BiDegree) -> dict:
     return {m: i for i, m in enumerate(monomial_basis(num_p, num_q, v))}
 
 
+@lru_cache(maxsize=None)
+def shifted_positions(part: Monomial, degree: int) -> tuple[int, ...]:
+    """Position of ``part * e`` in ``exponent_tuples(len(part), deg part +
+    degree)``, for each e of ``exponent_tuples(len(part), degree)`` in order."""
+    n = len(part)
+    target = exponent_tuples(n, sum(part) + degree)
+    index = {e: i for i, e in enumerate(target)}
+    return tuple(index[multiply_monomials(part, e)]
+                 for e in exponent_tuples(n, degree))
+
+
 def multiply_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(map(add, m1, m2))
 

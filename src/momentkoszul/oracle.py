@@ -327,7 +327,14 @@ def tor_over_S(f: RepFamily, max_i: int | None = None,
 
 
 def hilbert_oracle(f: RepFamily, order: int, fld: Field = QQ) -> TruncatedSeries:
-    """Hilbert series of S/I realized by per-bidegree quotient dimensions."""
+    """Hilbert series of S/I realized by per-bidegree quotient dimensions.
+
+    Bidegrees come in increasing total degree, so when a piece directly
+    below v is zero its rank is already cached, and ``ideal_rank`` reads
+    (S/I)_v = 0 off it (a monomial of v is a variable times a monomial of
+    that piece) instead of eliminating I_v.  Every other piece is
+    eliminated.
+    """
     ring = ring_for_family(f, fld)
     coeffs = {}
     for v in bidegrees_up_to_total(order):

@@ -17,9 +17,9 @@ from .monomials import (
     BiDegree,
     Monomial,
     ambient_dimension,
-    basis_index,
+    exponent_tuples,
     monomial_basis,
-    multiply_monomials,
+    shifted_positions,
     sub_bidegrees,
 )
 
@@ -57,24 +57,36 @@ def _check_ambient(generators) -> tuple[int, int]:
 def ideal_span_vectors(generators, v: BiDegree, fld: Field = QQ):
     """Sparse vectors g*m (over the canonical basis of bidegree v) spanning I_v.
 
-    One per generator g and monomial m of bidegree v - deg g, in that order,
-    equal to the coefficients of ``g.times_monomial(m)``.  Each term's
-    positions and field coefficient are computed once per generator, and only
-    when some m exists.
+    One per generator g and monomial m of bidegree u = v - deg g, in that
+    order, equal to the coefficients of ``g.times_monomial(m)``.  The basis
+    of v is P_a x Q_b in canonical order, so a term t = t_p t_q sends the
+    (i, j)-th monomial of u to position ``sp[i] * |Q_b| + sq[j]``, where
+    ``sp`` and ``sq`` are the cached ``shifted_positions`` tables of t_p and
+    t_q; no product monomial is built.  Each term's positions and field
+    coefficient are computed once per generator, and only when some m exists.
+
+    ``QuotientRing.ideal_rank`` skips this whole span when a piece directly
+    below v is a zero quotient piece, since then I_v = S_v.
     """
     if not generators:
         return
     num_p, num_q = _check_ambient(generators)
-    index = basis_index(num_p, num_q, v)
+    width = len(exponent_tuples(num_q, v[1]))
     for g in generators:
         w = g.bidegree()
         if w is None:
             continue
-        basis = monomial_basis(num_p, num_q, sub_bidegrees(v, w))
-        if not basis:
+        a, b = sub_bidegrees(v, w)
+        if a < 0 or b < 0:
+            continue
+        columns = []
+        for t, _ in g.terms:
+            sq = shifted_positions(t[num_p:], b)
+            columns.append([i * width + j
+                            for i in shifted_positions(t[:num_p], a) for j in sq])
+        if not columns[0]:
             continue
         coeffs = [fld.of(c) for _, c in g.terms]
-        columns = [[index[multiply_monomials(t, m)] for m in basis] for t, _ in g.terms]
         for positions in zip(*columns):
             yield dict(zip(positions, coeffs))
 

@@ -79,11 +79,23 @@ class QuotientRing:
         return self.piece(v).dimension
 
     def ideal_rank(self, v: BiDegree) -> int:
-        """dim I_v by rank only (no echelon kept); cheap for large pieces."""
+        """dim I_v by rank only (no echelon kept); cheap for large pieces.
+
+        Every monomial of bidegree (a, b) is a p-variable times one of
+        bidegree (a - 1, b) when a >= 1, and a q-variable times one of
+        (a, b - 1) when b >= 1.  So if either piece directly below v is a
+        zero quotient piece, I_v = S_v and nothing is eliminated.  Only
+        pieces and ranks the ring already holds are consulted, never
+        computed, so asking in increasing total degree (as
+        ``hilbert_oracle`` does) finds them, and a lone call on a fresh ring
+        eliminates.
+        """
         got = self._ideal_rank.get(v)
         if got is not None:
             return got
-        if not self.generators:
+        if any(self._known_zero(w) for w in ((v[0] - 1, v[1]), (v[0], v[1] - 1))):
+            rank = ambient_dimension(self.num_p, self.num_q, v)
+        elif not self.generators:
             rank = 0
         else:
             ech = Echelon(self.field.p)
@@ -93,7 +105,20 @@ class QuotientRing:
         self._ideal_rank[v] = rank
         return rank
 
+    def _known_zero(self, w: BiDegree) -> bool:
+        """Whether (S/I)_w is already known to be zero, from a cached piece
+        or a cached ideal rank; w outside the quadrant is not known."""
+        if w[0] < 0 or w[1] < 0:
+            return False
+        piece = self._pieces.get(w)
+        if piece is not None:
+            return not piece.dimension
+        rank = self._ideal_rank.get(w)
+        return rank is not None and rank == ambient_dimension(self.num_p, self.num_q, w)
+
     def quotient_dim_fast(self, v: BiDegree) -> int:
+        """dim (S/I)_v from a cached piece, else from ``ideal_rank``, which
+        reads a zero piece off a known zero piece directly below v."""
         if v[0] < 0 or v[1] < 0:
             return 0
         piece = self._pieces.get(v)

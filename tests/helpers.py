@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+from momentkoszul.monomials import monomial_basis
+
 
 def brute_rank(rows) -> int:
     """Dense Gaussian elimination over exact rationals."""
@@ -35,6 +37,23 @@ def brute_rank(rows) -> int:
         rank += 1
         row += 1
     return rank
+
+
+def dense_ideal_rank(generators, num_p: int, num_q: int, v) -> int:
+    """dim I_v over QQ: ``brute_rank`` of the coefficient rows of
+    ``g.times_monomial(m)`` for every generator g and monomial m of
+    bidegree v - deg g, written out densely over the basis of v."""
+    basis = monomial_basis(num_p, num_q, v)
+    index = {m: i for i, m in enumerate(basis)}
+    rows = []
+    for g in generators:
+        w = g.bidegree()
+        for m in monomial_basis(num_p, num_q, (v[0] - w[0], v[1] - w[1])):
+            row = [0] * len(basis)
+            for mono, c in g.times_monomial(m).terms:
+                row[index[mono]] = c
+            rows.append(row)
+    return brute_rank(rows)
 
 
 def brute_rref(rows):

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from momentkoszul import cli
 from momentkoszul.cli import (
     MAX_CATALAN_N,
     MAX_EXTERIOR_N,
@@ -111,6 +112,19 @@ def test_invalid_inputs_exit_2(capsys):
     code, _, err = run(capsys, "betti", "--family", "sl", "--n", "6",
                        "--source", "closed", "--field", "fp:3")
     assert code == 2 and "characteristic" in err
+
+
+@pytest.mark.parametrize("source", ["closed", "oracle", "both"])
+def test_betti_negative_max_i_exits_2_before_any_work(capsys, monkeypatch, source):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a table was computed")
+
+    monkeypatch.setattr(cli, "betti_closed", refuse)
+    monkeypatch.setattr(cli, "tor_over_S", refuse)
+    code, out, err = run(capsys, "betti", "--family", "gl", "--n", "2",
+                         "--source", source, "--max-i", "-1")
+    assert code == 2 and not out
+    assert "--max-i must be at least 0, got -1" in err
 
 
 def test_moduli_from_two_to_the_64_exit_2(capsys):
