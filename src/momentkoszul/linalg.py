@@ -77,7 +77,7 @@ class Echelon:
         p = self.p
         if p is None:
             return {j: x for j, x in vec.items() if x}
-        return {j: x % p for j, x in vec.items() if x % p}
+        return {j: y for j, x in vec.items() if (y := x % p)}
 
     def _plain_ints(self, vec: dict) -> dict:
         """``vec`` with every integral Fraction made a plain int (QQ only)."""

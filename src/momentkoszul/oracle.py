@@ -25,6 +25,15 @@ builds, ranks and d.d-checks the complex of v and is dropped before the next
 v, serially or in a fork-pool worker.  Only the quotient ring's pieces,
 multiplication maps and checked squares stay cached across bidegrees, until
 the call returns.
+
+Within v the differentials are ranked from the highest homological degree
+down, with clearing (Chen and Kerber, "Persistent homology computation with
+a twist", 2011): a row of the column echelon of d_{i+1} lies in the image of
+d_{i+1}, so with d.d = 0 the column of d_i at its pivot j is a combination
+of the columns after j, and ``rank`` skips it.  Since clearing trusts
+d.d = 0, every rank of v comes first, then every d.d check, and only then
+the Betti numbers: a corrupted differential fails as ``d.d != 0`` before a
+Betti number is derived from a cleared rank.
 """
 
 from __future__ import annotations
@@ -75,7 +84,10 @@ class KoszulOracle:
 
     Every result is cached per (i, v) for the oracle's lifetime; the
     differentials dominate its memory.  ``tor_over_S`` uses one oracle per
-    bidegree v.
+    bidegree v and ranks its differentials top-down, so that ``rank`` can
+    clear the columns that d_{i+1} already proves dependent; until d_i is
+    ranked only the pivot indices of d_{i+1} are kept.  A rank asked for
+    on its own finds no pivots and ranks every column.
     """
 
     def __init__(self, ring: QuotientRing):
@@ -83,6 +95,7 @@ class KoszulOracle:
         self._rank: dict[tuple[int, BiDegree], int] = {}
         self._basis: dict[tuple[int, BiDegree], list] = {}
         self._cols: dict[tuple[int, BiDegree], list] = {}
+        self._cleared: dict[tuple[int, BiDegree], set[int]] = {}
         self._dd_done: set[tuple[int, BiDegree]] = set()
 
     def basis(self, i: int, v: BiDegree):
@@ -137,6 +150,20 @@ class KoszulOracle:
         return cols
 
     def rank(self, i: int, v: BiDegree) -> int:
+        """Rank of d_i in bidegree v, skipping the columns that clearing
+        proves dependent.
+
+        If d_{i+1} was ranked first, column by column, the pivots of its
+        echelon are dropped from d_i: a pivot row has smallest index j and
+        lies in the image of d_{i+1}, so by d.d = 0 the column j of d_i is a
+        combination of the columns after it.  By induction from the top
+        index down, the columns left span the same image, so the rank does
+        not change.  The pivot set is popped once read; d_i leaves its own
+        for d_{i-1} when it is ranked column by column, which it is when
+        its columns left number at most its rows (otherwise its rows are
+        ranked and leave no pivots).  Clearing trusts d.d = 0, so a caller
+        must run ``check_dd`` before it derives anything from the rank.
+        """
         key = (i, v)
         got = self._rank.get(key)
         if got is not None:
@@ -144,11 +171,16 @@ class KoszulOracle:
         if i <= 0 or i > self.ring.nvars:
             self._rank[key] = 0
             return 0
+        cleared = self._cleared.pop(key, ())
         cols = self.columns(i, v)
-        n_rows = self.dimension(i - 1, v)
+        if cleared:
+            cols = [col for j, col in enumerate(cols) if j not in cleared]
         ech = Echelon(self.ring.field.p)
-        for vec in cols if len(cols) <= n_rows else transpose(cols):
+        by_columns = len(cols) <= self.dimension(i - 1, v)
+        for vec in cols if by_columns else transpose(cols):
             ech.insert(vec)
+        if by_columns and i > 1 and (i - 1, v) not in self._rank:
+            self._cleared[(i - 1, v)] = set(ech.rows)
         self._rank[key] = ech.dimension
         return ech.dimension
 
@@ -242,13 +274,13 @@ def _bidegree_betti(ring: QuotientRing, task):
     that holds the complex of v alone and is dropped on return."""
     v, degrees = task
     oracle = KoszulOracle(ring)
-    out = {}
-    for i in degrees:
-        out[i] = oracle.betti(i, v)
-        if oracle.dimension(i, v):
-            oracle.check_dd(i, v)
-            oracle.check_dd(i + 1, v)
-    return v, out
+    live = [i for i in degrees if oracle.dimension(i, v)]
+    for i in sorted({j for i in live for j in (i, i + 1)}, reverse=True):
+        oracle.rank(i, v)
+    for i in live:
+        oracle.check_dd(i, v)
+        oracle.check_dd(i + 1, v)
+    return v, {i: oracle.betti(i, v) for i in degrees}
 
 
 # The job of a pool worker, set in each child by the pool's initializer; the
@@ -284,11 +316,14 @@ def tor_over_S(f: RepFamily, max_i: int | None = None,
 
     The scanned pairs (i, v) are grouped by v and run highest total degree
     first, so that a pool starts the largest complexes first.  Each
-    bidegree gets its own ``KoszulOracle``: it computes beta_i(v) for
-    that v's degrees i, always checks d.d on (i, v) and (i + 1, v) wherever
-    the piece is nonzero, and is dropped, so its bases, differentials and ranks
-    live only while v is computed.  The quotient ring's pieces,
-    multiplication maps and checked squares stay cached for the whole call.
+    bidegree gets its own ``KoszulOracle``, which in turn ranks d_i and
+    d_{i+1} for every degree i of v whose piece is nonzero, top-down with
+    clearing; checks d.d on (i, v) and (i + 1, v) for those degrees, in
+    increasing i; and only then computes beta_i(v), because a cleared rank
+    is right only where d.d = 0.  It is then dropped, so its bases,
+    differentials and ranks live only while v is computed.  The quotient
+    ring's pieces, multiplication maps and checked squares stay cached for
+    the whole call.
     ``workers`` > 1 maps whole bidegrees, d.d checks included, over a fork
     pool; the entries and ``boundary_hits`` are assembled in scan order
     (i, then v) either way, so the result is bit-identical.

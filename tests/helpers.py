@@ -161,3 +161,25 @@ def unit_entry_kernel(real):
         return out
 
     return kernel
+
+
+def column_with_a_flipped_sign(real, i: int, v, j: int, built=None):
+    """A ``KoszulOracle.columns`` that negates one entry of d_i in bidegree v.
+
+    Wraps ``real``.  When an oracle first builds the (i, v) columns, the entry
+    at the smallest row of column j is negated in place (over QQ), so its
+    rank and its d.d check read the same corrupted column.  That list of
+    columns is appended to ``built`` when one is given.
+    """
+    def columns(self, k, u):
+        fresh = (k, u) not in self._cols
+        cols = real(self, k, u)
+        if fresh and (k, u) == (i, v):
+            col = cols[j]
+            row = min(col)
+            col[row] = -col[row]
+            if built is not None:
+                built.append(cols)
+        return cols
+
+    return columns

@@ -1,7 +1,10 @@
 """The brute-force homological oracle against closed forms and known values."""
 
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,7 +19,7 @@ from momentkoszul.closed import (
 from momentkoszul.fields import GF, QQ
 from momentkoszul.ideals import family
 from momentkoszul import oracle
-from momentkoszul.linalg import axpy
+from momentkoszul.linalg import Echelon, axpy
 from momentkoszul.monomials import bidegrees_up_to_total
 from momentkoszul.oracle import (
     KoszulOracle,
@@ -28,7 +31,7 @@ from momentkoszul.oracle import (
 )
 from momentkoszul.quotient import QuotientRing, ring_for_family
 
-from helpers import direct_dd, series_coeffs_one_var
+from helpers import column_with_a_flipped_sign, direct_dd, series_coeffs_one_var
 
 
 def test_tor_hypersurface():
@@ -277,6 +280,169 @@ def test_d_squared_catches_a_corrupted_multiplication_entry(monkeypatch, workers
     message = r"d\.d != 0" + (r" at i=4, v=\(3, 2\)" if workers == 1 else "")
     with pytest.raises(AssertionError, match=message):
         tor_over_S(family("sl", 2), workers=workers)
+
+
+# so_2 and sp_2 catch pivots kept from a transposed rank, which index the
+# rows of d_i instead of its target
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([("gl", 2), ("sl", 2), ("so", 2), ("so", 3), ("sp", 1),
+                        ("gl", 3), ("sp", 2)]),
+       st.sampled_from([QQ, GF(32003)]))
+def test_cleared_ranks_equal_the_ranks_of_all_columns(kind_n, fld):
+    ranked = {}
+    rank = KoszulOracle.rank
+
+    def recording_rank(self, i, v):
+        ranked[(i, v)] = rank(self, i, v)
+        return ranked[(i, v)]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(KoszulOracle, "rank", recording_rank)
+        tor_over_S(family(*kind_n), fld=fld, workers=1)
+    assert ranked
+    ring = ring_for_family(family(*kind_n), fld)
+    for (i, v), r in ranked.items():
+        # a fresh oracle ranks (i, v) alone, so it clears no column
+        assert KoszulOracle(ring).rank(i, v) == r, (kind_n, str(fld), i, v)
+
+
+def test_tor_never_inserts_a_column_that_clearing_proves_dependent(monkeypatch):
+    inserted = []  # every vector handed to Echelon.insert, kept alive so ids stay unique
+    built = {}     # (oracle, i, v) -> the columns of d_i it built
+    insert, columns = Echelon.insert, KoszulOracle.columns
+
+    def recording_insert(self, vec):
+        inserted.append(vec)
+        return insert(self, vec)
+
+    def recording_columns(self, i, v):
+        built[(self, i, v)] = columns(self, i, v)
+        return built[(self, i, v)]
+
+    monkeypatch.setattr(Echelon, "insert", recording_insert)
+    monkeypatch.setattr(KoszulOracle, "columns", recording_columns)
+    tor_over_S(family("sp", 2), workers=1)
+    ids = {id(vec) for vec in inserted}
+    skipped = 0
+    for (owner, i, v), cols in built.items():
+        upper = built.get((owner, i + 1, v))
+        if upper is None or not any(id(col) in ids for col in upper):
+            continue  # d_{i+1} was not ranked column by column
+        ech = Echelon(None)
+        for col in upper:
+            insert(ech, col)
+        # the pivots of d_{i+1}'s column echelon are the same for any spanning
+        # subset of its columns, so they do not depend on what was cleared
+        assert not [j for j in ech.rows if id(cols[j]) in ids], (i, v)
+        skipped += len(ech.rows)
+    assert skipped
+
+
+def test_clearing_cuts_the_vain_insertions_of_sp2(monkeypatch):
+    vain = []
+    insert = Echelon.insert
+
+    def counting_insert(self, vec):
+        grew = insert(self, vec)
+        if not grew:
+            vain.append(vec)
+        return grew
+
+    monkeypatch.setattr(Echelon, "insert", counting_insert)
+    tor_over_S(family("sp", 2), workers=1)
+    # 3,471 when every column of every differential is inserted; 1,362 with
+    # clearing, the rest coming from quotient pieces, transposed ranks and
+    # homology
+    assert len(vain) <= 1400
+
+
+def cleared_column(kind: str, n: int, i: int, v) -> int:
+    """The first column of d_i in bidegree v that clearing skips: the
+    smallest pivot of the column echelon of d_{i+1}."""
+    oracle = KoszulOracle(ring_for_family(family(kind, n)))
+    ech = Echelon(None)
+    for col in oracle.columns(i + 1, v):
+        ech.insert(col)
+    return min(ech.rows)
+
+
+# sl_2's d_2 in bidegree (2, 1) is ranked column by column, after d_3
+CLEARED_I, CLEARED_V = 2, (2, 1)
+CLEARED_MESSAGE = r"d\.d != 0 at i=2, v=\(2, 1\)"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_d_squared_catches_a_flipped_sign_in_a_cleared_column(monkeypatch, workers):
+    j = cleared_column("sl", 2, CLEARED_I, CLEARED_V)
+    built, inserted = [], []
+    insert = Echelon.insert
+
+    def recording_insert(self, vec):
+        inserted.append(vec)
+        return insert(self, vec)
+
+    monkeypatch.setattr(KoszulOracle, "columns", column_with_a_flipped_sign(
+        KoszulOracle.columns, CLEARED_I, CLEARED_V, j, built))
+    monkeypatch.setattr(Echelon, "insert", recording_insert)
+    with pytest.raises(AssertionError, match=CLEARED_MESSAGE):
+        tor_over_S(family("sl", 2), workers=workers)
+    if workers == 1:
+        (cols,) = built
+        ids = {id(vec) for vec in inserted}
+        assert id(cols[j]) not in ids
+        assert any(id(col) in ids for col in cols)
+
+
+def test_d_squared_catches_a_cleared_column_under_python_O():
+    j = cleared_column("sl", 2, CLEARED_I, CLEARED_V)
+    tests = Path(__file__).parent
+    script = (
+        "assert False, 'asserts are on'\n"
+        "from momentkoszul.oracle import KoszulOracle, tor_over_S\n"
+        "from momentkoszul.ideals import family\n"
+        "from helpers import column_with_a_flipped_sign\n"
+        "KoszulOracle.columns = column_with_a_flipped_sign(\n"
+        f"    KoszulOracle.columns, {CLEARED_I}, {CLEARED_V}, {j})\n"
+        "tor_over_S(family('sl', 2), workers=1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "AssertionError: d.d != 0 at i=2, v=(2, 1)" in proc.stderr
+
+
+REAL_MULT_BY_VAR = QuotientRing.mult_by_var
+
+
+def corrupted_mult(x: int, w):
+    """A ``mult_by_var`` whose (x, w) map, when first built, has 1 added to
+    the first entry of its first column."""
+    def one_corrupted_entry(self, y, u):
+        fresh = (y, u) not in self._mult
+        cols = REAL_MULT_BY_VAR(self, y, u)
+        if fresh and (y, u) == (x, w) and cols and cols[0]:
+            cols[0][min(cols[0])] += 1
+        return cols
+
+    return one_corrupted_entry
+
+
+def test_a_corrupted_multiplication_entry_never_yields_a_negative_beta(monkeypatch):
+    f = family("sl", 2)
+    caught = set()
+    for x in range(f.num_p + f.num_q):
+        for w in bidegrees_up_to_total(3):
+            monkeypatch.setattr(QuotientRing, "mult_by_var", corrupted_mult(x, w))
+            try:
+                tor_over_S(f, workers=1)
+            except AssertionError as exc:
+                assert "d.d != 0" in str(exc), (x, w, exc.args)
+                caught.add((x, w))
+    # with each Betti number taken before its d.d checks, these two raised
+    # beta_3,(2,2) < 0 first
+    assert {(0, (0, 1)), (2, (1, 0))} <= caught
 
 
 def test_tor_builds_columns_only_for_the_keys_it_ranks(monkeypatch):
