@@ -26,7 +26,8 @@ class BettiTable:
         self.entries = {
             (i, tuple(v)): int(c) for (i, v), c in self.entries.items() if c
         }
-        assert all(c > 0 for c in self.entries.values())
+        if not all(c > 0 for c in self.entries.values()):
+            raise AssertionError
 
     def beta(self, i: int, v: BiDegree) -> int:
         return self.entries.get((i, tuple(v)), 0)

@@ -100,7 +100,8 @@ def betti_closed(f: RepFamily) -> BettiTable:
                 v2 = i + 2 - v1
                 c = (2 * n * n - n) * comb(2 * n, v1 - 1) * comb(2 * n, v2 - 1) \
                     - comb(2 * n, v1) * comb(2 * n, v2)
-                assert c >= 0, (i, v1, v2, c)
+                if c < 0:
+                    raise AssertionError((i, v1, v2, c))
                 if c:
                     entries[(i, (v1, v2))] = c
     return BettiTable(str(f.kind.value), n, entries, source="closed")

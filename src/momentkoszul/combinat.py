@@ -22,7 +22,8 @@ def catalan_triangle(N: int, r: int) -> int:
         raise ValueError("triangle row must be >= 1")
     c = comb(2 * N, N - r) if 0 <= N - r <= 2 * N else 0
     num = r * c
-    assert num % N == 0
+    if num % N:
+        raise AssertionError
     return num // N
 
 

@@ -128,7 +128,8 @@ def generators(f: RepFamily) -> list[Polynomial]:
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 gens.append(_pq(N, p2(i), p1(j)) + _pq(N, p2(j), p1(i)))
-    assert len(gens) == f.generator_count
+    if len(gens) != f.generator_count:
+        raise AssertionError
     return gens
 
 

@@ -365,7 +365,7 @@ def hilbert_oracle(f: RepFamily, order: int, fld: Field = QQ) -> TruncatedSeries
     """Hilbert series of S/I realized by per-bidegree quotient dimensions.
 
     Bidegrees come in increasing total degree, so when a piece directly
-    below v is zero its rank is already cached, and ``ideal_rank`` reads
+    below v is zero it is already cached, and ``QuotientRing.piece`` reads
     (S/I)_v = 0 off it (a monomial of v is a variable times a monomial of
     that piece) instead of eliminating I_v.  Every other piece is
     eliminated.
@@ -373,7 +373,7 @@ def hilbert_oracle(f: RepFamily, order: int, fld: Field = QQ) -> TruncatedSeries
     ring = ring_for_family(f, fld)
     coeffs = {}
     for v in bidegrees_up_to_total(order):
-        d = ring.quotient_dim_fast(v)
+        d = ring.dim(v)
         if d:
             coeffs[v] = d
     return TruncatedSeries.make(("s", "t"), order, coeffs)

@@ -65,8 +65,8 @@ def ideal_span_vectors(generators, v: BiDegree, fld: Field = QQ):
     t_q; no product monomial is built.  Each term's positions and field
     coefficient are computed once per generator, and only when some m exists.
 
-    ``QuotientRing.ideal_rank`` skips this whole span when a piece directly
-    below v is a zero quotient piece, since then I_v = S_v.
+    ``QuotientRing.piece`` skips this whole span when a cached piece
+    directly below v is a zero quotient piece, since then I_v = S_v.
     """
     if not generators:
         return

@@ -8,36 +8,40 @@ monomials of I_v, so the quotient basis is the set of standard monomials and
 is closed under division.  Everything is cached per ring and computed
 lazily; all choices are canonical for the fixed monomial order, so repeated
 runs produce identical matrices.
+
+``QuotientRing.piece`` is the one route to (S/I)_v and its dimension.  A
+``QuotientPiece`` holds the echelon of I_v (``rref``), the standard monomials
+in canonical order (``basis``) and the map from ambient index to quotient
+coordinate (``positions``).  Every monomial of bidegree (a, b) is a
+p-variable times one of (a - 1, b) when a >= 1, and a q-variable times one of
+(a, b - 1) when b >= 1.  So when a cached piece directly below v is zero,
+I_v = S_v and the piece is built zero without eliminating, with an empty
+echelon; asking in increasing total degree finds those pieces.  A degree
+outside the quadrant is a zero piece too.
 """
 
 from __future__ import annotations
 
 from .fields import QQ, Field
 from .linalg import Echelon, axpy
-from .monomials import (
-    BiDegree,
-    ambient_dimension,
-    basis_index,
-    monomial_basis,
-)
+from .monomials import BiDegree, ambient_dimension, basis_index, exponent_tuples
 from .pieces import ideal_span_vectors
 
 
 class QuotientPiece:
-    """One bidegree of S/I: pivot data of I_v plus the complement basis."""
+    """One bidegree of S/I: the echelon of I_v and the quotient basis."""
 
-    __slots__ = ("bidegree", "ambient", "rref", "complement", "positions")
+    __slots__ = ("bidegree", "rref", "basis", "positions")
 
-    def __init__(self, bidegree, ambient, rref, complement, positions):
+    def __init__(self, bidegree, rref, basis, positions):
         self.bidegree = bidegree
-        self.ambient = ambient          # canonical monomial basis of S_v
-        self.rref = rref                # Echelon of I_v
-        self.complement = complement    # ambient indices of the quotient basis
+        self.rref = rref                # Echelon of I_v; empty on a zero piece
+        self.basis = basis              # standard monomials, canonical order
         self.positions = positions      # ambient index -> quotient coordinate
 
     @property
     def dimension(self) -> int:
-        return len(self.complement)
+        return len(self.basis)
 
 
 class QuotientRing:
@@ -48,7 +52,6 @@ class QuotientRing:
         self.field = fld
         self._pieces: dict[BiDegree, QuotientPiece] = {}
         self._mult: dict[tuple[int, BiDegree], list[dict[int, object]]] = {}
-        self._ideal_rank: dict[BiDegree, int] = {}
         self._commutes: dict[tuple[int, int, BiDegree], bool] = {}
 
     @property
@@ -62,73 +65,38 @@ class QuotientRing:
         got = self._pieces.get(v)
         if got is not None:
             return got
-        ambient = monomial_basis(self.num_p, self.num_q, v)
+        a, b = v
         rref = Echelon(self.field.p)
-        if self.generators:
+        basis, positions = (), {}
+        below = (self._pieces.get(w) for w in ((a - 1, b), (a, b - 1)) if min(w) >= 0)
+        if a >= 0 and b >= 0 and all(low is None or low.basis for low in below):
             for vec in ideal_span_vectors(self.generators, v, self.field):
                 rref.insert(vec)
-        complement = tuple(j for j in range(len(ambient)) if j not in rref.rows)
-        positions = {j: k for k, j in enumerate(complement)}
-        piece = QuotientPiece(v, ambient, rref, complement, positions)
+            complement = [j for j in range(ambient_dimension(self.num_p, self.num_q, v))
+                          if j not in rref.rows]
+            # ambient index j is the (j // |Q_b|, j % |Q_b|)-th pair of P_a x Q_b
+            ps, qs = exponent_tuples(self.num_p, a), exponent_tuples(self.num_q, b)
+            basis = tuple(ps[j // len(qs)] + qs[j % len(qs)] for j in complement)
+            positions = {j: k for k, j in enumerate(complement)}
+        piece = QuotientPiece(v, rref, basis, positions)
         self._pieces[v] = piece
         return piece
 
     def dim(self, v: BiDegree) -> int:
-        if v[0] < 0 or v[1] < 0:
-            return 0
         return self.piece(v).dimension
 
+    # an alias of ``dim``, kept because ``perfbench/tracing.py`` calls it
+    quotient_dim_fast = dim
+
     def ideal_rank(self, v: BiDegree) -> int:
-        """dim I_v by rank only (no echelon kept); cheap for large pieces.
-
-        Every monomial of bidegree (a, b) is a p-variable times one of
-        bidegree (a - 1, b) when a >= 1, and a q-variable times one of
-        (a, b - 1) when b >= 1.  So if either piece directly below v is a
-        zero quotient piece, I_v = S_v and nothing is eliminated.  Only
-        pieces and ranks the ring already holds are consulted, never
-        computed, so asking in increasing total degree (as
-        ``hilbert_oracle`` does) finds them, and a lone call on a fresh ring
-        eliminates.
-        """
-        got = self._ideal_rank.get(v)
-        if got is not None:
-            return got
-        if any(self._known_zero(w) for w in ((v[0] - 1, v[1]), (v[0], v[1] - 1))):
-            rank = ambient_dimension(self.num_p, self.num_q, v)
-        elif not self.generators:
-            rank = 0
-        else:
-            ech = Echelon(self.field.p)
-            for vec in ideal_span_vectors(self.generators, v, self.field):
-                ech.insert(vec)
-            rank = ech.dimension
-        self._ideal_rank[v] = rank
-        return rank
-
-    def _known_zero(self, w: BiDegree) -> bool:
-        """Whether (S/I)_w is already known to be zero, from a cached piece
-        or a cached ideal rank; w outside the quadrant is not known."""
-        if w[0] < 0 or w[1] < 0:
-            return False
-        piece = self._pieces.get(w)
-        if piece is not None:
-            return not piece.dimension
-        rank = self._ideal_rank.get(w)
-        return rank is not None and rank == ambient_dimension(self.num_p, self.num_q, w)
-
-    def quotient_dim_fast(self, v: BiDegree) -> int:
-        """dim (S/I)_v from a cached piece, else from ``ideal_rank``, which
-        reads a zero piece off a known zero piece directly below v."""
-        if v[0] < 0 or v[1] < 0:
-            return 0
-        piece = self._pieces.get(v)
-        if piece is not None:
-            return piece.dimension
-        return ambient_dimension(self.num_p, self.num_q, v) - self.ideal_rank(v)
+        """dim I_v = dim S_v - dim (S/I)_v."""
+        return ambient_dimension(self.num_p, self.num_q, v) - self.dim(v)
 
     def nf(self, v: BiDegree, ambient_vec: dict) -> dict:
         """Reduce an ambient coefficient vector to quotient coordinates."""
         piece = self.piece(v)
+        if not piece.basis:
+            return {}
         reduced = piece.rref.reduce(ambient_vec)
         return {piece.positions[j]: c for j, c in reduced.items()}
 
@@ -141,12 +109,10 @@ class QuotientRing:
         got = self._mult.get(key)
         if got is not None:
             return got
-        src = self.piece(v)
         w = self._shifted(v, x)
         tgt_index = basis_index(self.num_p, self.num_q, w)
         cols = []
-        for j in src.complement:
-            mono = src.ambient[j]
+        for mono in self.piece(v).basis:
             shifted = mono[:x] + (mono[x] + 1,) + mono[x + 1:]
             cols.append(self.nf(w, {tgt_index[shifted]: 1}))
         self._mult[key] = cols
@@ -184,9 +150,8 @@ class QuotientRing:
         return out
 
     def monomial_label(self, v: BiDegree, position: int) -> tuple:
-        """The complement basis monomial at a quotient coordinate."""
-        piece = self.piece(v)
-        return piece.ambient[piece.complement[position]]
+        """The standard monomial at a quotient coordinate."""
+        return self.piece(v).basis[position]
 
 
 def ring_for_family(f, fld: Field = QQ) -> QuotientRing:

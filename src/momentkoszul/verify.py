@@ -214,16 +214,17 @@ def suite_verdicts():
     return checks
 
 
+#: The named suites, in the order ``run_suite("all")`` runs them.
 SUITES = {
     "appendixB": suite_reference_tables,
     "hilbert": suite_hilbert,
-    "betti": suite_betti,
     "exterior": suite_exterior,
     "euler": suite_euler,
     "structure": suite_structure,
     "froberg": suite_froberg,
     "socle": suite_socle,
     "verdicts": suite_verdicts,
+    "betti": suite_betti,
 }
 
 

@@ -1,7 +1,11 @@
 """Monomial bases, polynomials, and graded pieces."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -176,3 +180,32 @@ def test_span_vectors_embed_coefficients_only_for_used_generators():
     assert len(list(ideal_span_vectors([bad, good], (1, 2), fp))) == 1
     with pytest.raises(InvalidFieldError):
         list(ideal_span_vectors([bad, good], (2, 1), fp))
+
+
+def test_integrity_checks_survive_python_O():
+    """Each check raises AssertionError itself, so ``python -O`` keeps it."""
+    src = Path(__file__).parent.parent / "src"
+    script = (
+        "assert False, 'asserts are on'\n"
+        "from momentkoszul import betti, closed, combinat, ideals\n"
+        "from momentkoszul.ideals import family\n"
+        "closed.comb = lambda n, k: 10 ** k\n"
+        "combinat.comb = lambda n, k: 1\n"
+        "ideals.RepFamily.generator_count = property(lambda f: 0)\n"
+        "checks = [lambda: betti.BettiTable('x', 1, {(1, (1, 1)): -3}),\n"
+        "          lambda: closed.betti_closed(family('sp', 1)),\n"
+        "          lambda: ideals.generators(family('gl', 2)),\n"
+        "          lambda: combinat.catalan_triangle(3, 1)]\n"
+        "for check in checks:\n"
+        "    try:\n"
+        "        check()\n"
+        "        print('accepted')\n"
+        "    except AssertionError as e:\n"
+        "        print('refused', e.args)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "refused ()", "refused ((2, 1, 3, -9900),)", "refused ()", "refused ()"]

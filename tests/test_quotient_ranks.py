@@ -1,23 +1,27 @@
-"""Ideal ranks of the Hilbert oracle: zero pieces read off the piece below,
+"""Quotient pieces and ideal ranks: zero pieces read off the piece below,
 and ideal span vectors placed by index tables."""
+
+from functools import cache
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentkoszul import quotient
+from momentkoszul import quotient, resolution
 from momentkoszul.closed import hilbert_closed
 from momentkoszul.fields import GF, QQ
-from momentkoszul.ideals import family
+from momentkoszul.ideals import family, generators
 from momentkoszul.linalg import rank_of_vectors
 from momentkoszul.monomials import (
+    ambient_dimension,
     basis_index,
     bidegrees_up_to_total,
     monomial_basis,
     sub_bidegrees,
 )
 from momentkoszul.oracle import hilbert_oracle
-from momentkoszul.pieces import ideal_span_vectors
+from momentkoszul.pieces import ideal_span_vectors, quotient_dimension
 from momentkoszul.polynomials import Polynomial
 from momentkoszul.quotient import QuotientRing, ring_for_family
 from momentkoszul.verify import ORACLE_RANGE
@@ -124,3 +128,80 @@ def test_ranks_outside_the_quadrant_prove_nothing():
     ring = ring_for_family(f)
     assert ring.ideal_rank((-1, 0)) == 0 and ring.ideal_rank((0, -1)) == 0
     assert ring.ideal_rank((0, 0)) == 0
+
+
+DEGREES = tuple(bidegrees_up_to_total(7))
+
+
+@cache
+def _independent_dims(kind, n, fld) -> dict:
+    """dim (S/I)_v by ``pieces.quotient_dimension``; so_1 has no generators."""
+    f = family(kind, n)
+    gens = generators(f)
+    return {v: quotient_dimension(gens, v, fld) if gens
+            else ambient_dimension(f.num_p, f.num_q, v) for v in DEGREES}
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(32003)], ids=str)
+@pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
+def test_piece_dimension_does_not_depend_on_the_order_asked(fld, order):
+    for kind, n in ORACLE_RANGE:
+        degrees = list(DEGREES)
+        if order == "decreasing":
+            degrees.reverse()
+        elif order == "shuffled":
+            Random(f"{kind}{n}").shuffle(degrees)
+        ring = ring_for_family(family(kind, n), fld)
+        want = _independent_dims(kind, n, fld)
+        for v in degrees:
+            assert ring.dim(v) == want[v], (kind, n, order, v)
+
+
+def test_maps_into_a_zero_piece_are_empty():
+    zeros = 0
+    for kind, n in ORACLE_RANGE:
+        ring = ring_for_family(family(kind, n))
+        for v in DEGREES:
+            ring.piece(v)
+        for v in DEGREES:
+            for x in range(ring.nvars):
+                w = ring._shifted(v, x)
+                if ring.dim(w):
+                    continue
+                zeros += 1
+                assert ring.nf(w, {0: 1}) == {}, (kind, n, w)
+                cols = ring.mult_by_var(x, v)
+                assert len(cols) == ring.dim(v)
+                assert all(col == {} for col in cols), (kind, n, x, v)
+    assert zeros
+    ring = ring_for_family(family("gl", 1))
+    assert ring.piece((-1, 0)).dimension == 0
+    assert ring.piece((0, -1)).dimension == 0
+    assert ring.dim((0, 0)) == 1
+
+
+RESOLVE_WINDOWS = (("sl", 3, 5, 7), ("sp", 2, 4, 6), ("so", 3, 5, 6), ("gl", 3, 5, 6))
+
+
+@pytest.mark.parametrize("kind, n, max_i, max_total_degree", RESOLVE_WINDOWS)
+def test_resolution_eliminates_no_piece_above_a_zero_piece(
+        monkeypatch, kind, n, max_i, max_total_degree):
+    reached, rings = [], []
+    real_span, real_ring = quotient.ideal_span_vectors, resolution.ring_for_family
+
+    def spy(gens, v, fld=QQ):
+        reached.append(v)
+        return real_span(gens, v, fld)
+
+    def keep(f, fld=QQ):
+        rings.append(real_ring(f, fld))
+        return rings[-1]
+
+    monkeypatch.setattr(quotient, "ideal_span_vectors", spy)
+    monkeypatch.setattr(resolution, "ring_for_family", keep)
+    resolution.resolve_k_over_quotient(family(kind, n), max_i, max_total_degree)
+    pieces = rings[0]._pieces
+    zero = {v for v, piece in pieces.items() if min(v) >= 0 and not piece.dimension}
+    above = [v for v in reached
+             if (v[0] - 1, v[1]) in zero or (v[0], v[1] - 1) in zero]
+    assert above == []

@@ -1,4 +1,6 @@
+from momentkoszul import verify
 from momentkoszul.verify import (
+    SUITES,
     run_suite,
     suite_reference_tables,
     suite_euler,
@@ -52,3 +54,17 @@ def test_run_suite_exit_codes():
         pass
     else:
         raise AssertionError("unknown suite must be rejected")
+
+
+def test_run_suite_all_is_the_named_suites_in_order(monkeypatch):
+    # each suite is replaced by a stub check named after it, under both the
+    # name ``SUITES`` holds and its module-level function name
+    for name, run in list(SUITES.items()):
+        def stub(name=name):
+            return [(name, True, "")]
+        monkeypatch.setitem(SUITES, name, stub)
+        monkeypatch.setattr(verify, run.__name__, stub)
+    checks, code = run_suite("all")
+    assert code == 0
+    assert checks == [c for name in SUITES for c in run_suite(name)[0]]
+    assert [name for name, _, _ in checks] == list(SUITES)
