@@ -32,7 +32,7 @@ from .ideals import RepFamily, family, generators, sp_relabeled_generators
 from .linalg import InvalidInputError, LinearMap, rank
 from .monomials import monomial_basis
 from .oracle import depth_zero_witness, hilbert_oracle, socle, tor_over_S
-from .pieces import GradedPiece, ideal_piece, quotient_dimension
+from .pieces import quotient_dimension
 from .polynomials import Polynomial
 from .resolution import resolve_k_over_quotient
 from .series import TruncatedSeries
@@ -46,14 +46,14 @@ from .verdicts import (
 )
 
 __all__ = [
-    "BettiTable", "Field", "GF", "GradedPiece", "InvalidFieldError",
+    "BettiTable", "Field", "GF", "InvalidFieldError",
     "InvalidInputError", "KoszulVerdict", "LinearMap", "Polynomial", "QQ",
     "RepFamily", "TruncatedSeries", "aci_obstruction", "betti_closed",
     "catalan", "catalan_strand_identity", "catalan_triangle",
     "depth_zero_witness", "euler_check", "exterior_mult_rank", "family",
     "froberg_product", "generators", "gl_ext_module_candidates",
     "hilbert_closed", "hilbert_oracle",
-    "ideal_piece", "monomial_basis", "parse_field", "poincare_k_over_so",
+    "monomial_basis", "parse_field", "poincare_k_over_so",
     "poincare_over_S", "positive_part", "projective_dimension",
     "quadratic_monomial_certificate", "quotient_dimension", "rank",
     "resolve_k_over_quotient", "roos_series", "segner_check",

@@ -59,8 +59,12 @@ def _default_field():
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        # exit 1 means a mismatch, so an unwritable file must exit 2
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         print(text)
 

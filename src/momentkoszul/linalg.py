@@ -86,26 +86,21 @@ class Echelon:
         return {j: x.numerator if x.denominator == 1 else x
                 for j, x in vec.items()}
 
-    def _forward(self, vec: dict) -> dict:
-        """Subtract rows from ``vec`` (in place) until its smallest index is
-        not a pivot; empty exactly when ``vec`` lies in the span."""
-        rows, p = self.rows, self.p
-        while vec:
-            j = min(vec)
-            row = rows.get(j)
-            if row is None:
-                break
-            axpy(vec, -vec[j], row, p)
-        return vec
-
     def insert(self, vec: dict) -> bool:
         """Add ``vec`` to the span; returns True when the span grows."""
-        vec = self._forward(self._clean(vec))
+        vec = self._clean(vec)
+        rows, p = self.rows, self.p
+        # subtract rows until the smallest index is not a pivot; ``vec`` is
+        # left empty exactly when it lies in the span
+        while vec:
+            piv = min(vec)
+            row = rows.get(piv)
+            if row is None:
+                break
+            axpy(vec, -vec[piv], row, p)
         if not vec:
             return False
-        piv = min(vec)
         c = vec[piv]
-        p = self.p
         if c != 1:
             if p is not None:
                 inv = pow(c, -1, p)
@@ -116,12 +111,9 @@ class Echelon:
             else:
                 inv = QQ.inv(c)
                 vec = {j: QQ.of(x * inv) for j, x in vec.items()}
-        self.rows[piv] = vec
+        rows[piv] = vec
         self._reduced = False
         return True
-
-    def contains(self, vec: dict) -> bool:
-        return not self._forward(self._clean(vec))
 
     def _back_substitute(self):
         """Clear every pivot column outside its own row, highest pivot first."""

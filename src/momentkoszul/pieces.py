@@ -1,50 +1,32 @@
-"""Graded pieces of the ambient ring and of bihomogeneous ideals.
+"""Ideal pieces I_v spanned by bihomogeneous generators, and a reference
+quotient dimension.
 
-A graded piece is a finite-dimensional vector space in one bidegree.  For the
-full ring the canonical monomial basis is the basis; for an ideal piece we
-store the reduced row-echelon rows of the span of ``generator * monomial``
-over the ambient basis, which is the canonical representative of the
-subspace (independent of generator order).
+``ideal_span_vectors`` writes the products ``generator * monomial`` of
+bidegree v as sparse vectors over the canonical monomial basis of S_v; every
+route to an ideal piece starts from them.  ``QuotientRing`` (``quotient.py``)
+is the one place that eliminates them, and the structure checks
+``piece_contains`` and ``pieces_equal`` live beside it.  ``quotient_dimension``
+ranks the same vectors on its own: it is the independent reference that tests
+compare ``QuotientRing.dim`` against, so it does not route through
+``QuotientRing``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fields import QQ, Field
-from .linalg import Echelon, InvalidInputError, rank_of_vectors
+from .linalg import InvalidInputError, rank_of_vectors
 from .monomials import (
     BiDegree,
-    Monomial,
     ambient_dimension,
     exponent_tuples,
-    monomial_basis,
     shifted_positions,
     sub_bidegrees,
 )
 
 
-@dataclass(frozen=True)
-class GradedPiece:
-    """One bidegree of a graded space.
-
-    ``basis`` is the ambient monomial basis (column labels).  ``vectors`` is
-    None for the full piece, else the canonical RREF rows of a subspace, each
-    a tuple of (column, coefficient) pairs.
-    """
-
-    bidegree: BiDegree
-    basis: tuple[Monomial, ...]
-    vectors: tuple | None = None
-
-    @property
-    def dimension(self) -> int:
-        if self.vectors is None:
-            return len(self.basis)
-        return len(self.vectors)
-
-
 def _check_ambient(generators) -> tuple[int, int]:
+    if not generators:
+        raise InvalidInputError("empty generator list has no ambient")
     ambients = {(g.num_p, g.num_q) for g in generators}
     if len(ambients) != 1:
         raise InvalidInputError("generators live in different ambients")
@@ -91,37 +73,10 @@ def ideal_span_vectors(generators, v: BiDegree, fld: Field = QQ):
             yield dict(zip(positions, coeffs))
 
 
-def ideal_piece(generators, v: BiDegree, fld: Field = QQ) -> GradedPiece:
-    """The degree-v piece of the ideal generated by bihomogeneous generators."""
-    if generators:
-        num_p, num_q = _check_ambient(generators)
-    else:
-        raise InvalidInputError("empty generator list has no ambient")
-    space = Echelon(fld.p)
-    for vec in ideal_span_vectors(generators, v, fld):
-        space.insert(vec)
-    return GradedPiece(v, monomial_basis(num_p, num_q, v), space.canonical_rows())
-
-
 def quotient_dimension(generators, v: BiDegree, fld: Field = QQ) -> int:
     """dim (S/I)_v = dim S_v - dim I_v."""
-    if not generators:
-        raise InvalidInputError("empty generator list has no ambient")
     num_p, num_q = _check_ambient(generators)
     amb = ambient_dimension(num_p, num_q, v)
     if amb == 0:
         return 0
     return amb - rank_of_vectors(ideal_span_vectors(generators, v, fld), fld)
-
-
-def pieces_equal(gens_a, gens_b, v: BiDegree, fld: Field = QQ) -> bool:
-    """Whether two generating sets span the same degree-v subspace."""
-    return ideal_piece(gens_a, v, fld).vectors == ideal_piece(gens_b, v, fld).vectors
-
-
-def piece_contains(gens_big, gens_small, v: BiDegree, fld: Field = QQ) -> bool:
-    """Whether the degree-v span of gens_small sits inside that of gens_big."""
-    space = Echelon(fld.p)
-    for vec in ideal_span_vectors(gens_big, v, fld):
-        space.insert(vec)
-    return all(space.contains(vec) for vec in ideal_span_vectors(gens_small, v, fld))

@@ -18,14 +18,19 @@ p-variable times one of (a - 1, b) when a >= 1, and a q-variable times one of
 I_v = S_v and the piece is built zero without eliminating, with an empty
 echelon; asking in increasing total degree finds those pieces.  A degree
 outside the quadrant is a zero piece too.
+
+The structure checks ``piece_contains`` and ``pieces_equal`` compare ideal
+pieces through these dimensions: J_v contains I_v exactly when
+dim (S/J)_v = dim (S/(I + J))_v.  Each check holds one ring per generator
+list and asks the listed degrees in increasing total degree.
 """
 
 from __future__ import annotations
 
 from .fields import QQ, Field
 from .linalg import Echelon, axpy
-from .monomials import BiDegree, ambient_dimension, basis_index, exponent_tuples
-from .pieces import ideal_span_vectors
+from .monomials import BiDegree, ambient_dimension, basis_index, exponent_tuples, total
+from .pieces import _check_ambient, ideal_span_vectors
 
 
 class QuotientPiece:
@@ -152,6 +157,36 @@ class QuotientRing:
     def monomial_label(self, v: BiDegree, position: int) -> tuple:
         """The standard monomial at a quotient coordinate."""
         return self.piece(v).basis[position]
+
+
+def _rings(fld: Field, *generator_lists) -> list[QuotientRing]:
+    """One ring per generator list and one for their union, over the ambient
+    that all lists share."""
+    for gens in generator_lists:
+        _check_ambient(gens)
+    union = [g for gens in generator_lists for g in gens]
+    num_p, num_q = _check_ambient(union)
+    return [QuotientRing(gens, num_p, num_q, fld) for gens in (*generator_lists, union)]
+
+
+def piece_contains(gens_big, gens_small, degrees, fld: Field = QQ) -> bool:
+    """Whether (I_small)_v sits inside (I_big)_v for every listed degree v.
+
+    That holds exactly when dim (S/I_big)_v = dim (S/(I_big + I_small))_v.
+    Degrees are asked in increasing total degree, so that each ring reads a
+    zero piece off the piece below.
+    """
+    big, _, joint = _rings(fld, gens_big, gens_small)
+    return all(big.dim(v) == joint.dim(v) for v in sorted(degrees, key=total))
+
+
+def pieces_equal(gens_a, gens_b, degrees, fld: Field = QQ) -> bool:
+    """Whether A_v = B_v for every listed degree v: A, B and A + B give
+    equal quotient dimensions there.  Degrees are asked as in
+    ``piece_contains``."""
+    a, b, joint = _rings(fld, gens_a, gens_b)
+    return all(a.dim(v) == b.dim(v) == joint.dim(v)
+               for v in sorted(degrees, key=total))
 
 
 def ring_for_family(f, fld: Field = QQ) -> QuotientRing:

@@ -1,8 +1,10 @@
 """Independent brute-force oracles used to derive expected test values.
 
-Nothing here imports the package's linear algebra: ranks come from a plain
-dense Gaussian elimination over Fraction, so the values frozen in the tests
-are computed by a second route.
+Ranks come from a plain dense Gaussian elimination over Fraction, so the
+values frozen in the tests are computed by a second route.  The one use of
+the package's linear algebra is the per-degree ``Echelon`` reference for the
+structure checks, which eliminates each ideal piece on its own instead of
+comparing ``QuotientRing`` dimensions.
 """
 
 from __future__ import annotations
@@ -10,7 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+from momentkoszul.linalg import Echelon
 from momentkoszul.monomials import monomial_basis
+from momentkoszul.pieces import ideal_span_vectors
 
 
 def brute_rank(rows) -> int:
@@ -183,3 +187,27 @@ def column_with_a_flipped_sign(real, i: int, v, j: int, built=None):
         return cols
 
     return columns
+
+
+def echelon_piece(generators, v, fld) -> Echelon:
+    """The row space of I_v, eliminated on its own."""
+    space = Echelon(fld.p)
+    for vec in ideal_span_vectors(generators, v, fld):
+        space.insert(vec)
+    return space
+
+
+def echelon_contains(big, small, degrees, fld) -> bool:
+    """Per-degree reference for ``piece_contains``: every span vector of
+    ``small`` reduces to zero modulo the piece of ``big``."""
+    for v in degrees:
+        space = echelon_piece(big, v, fld)
+        if any(space.reduce(vec) for vec in ideal_span_vectors(small, v, fld)):
+            return False
+    return True
+
+
+def echelon_equal(a, b, degrees, fld) -> bool:
+    """Per-degree reference for ``pieces_equal``: equal canonical rows."""
+    return all(echelon_piece(a, v, fld).canonical_rows()
+               == echelon_piece(b, v, fld).canonical_rows() for v in degrees)

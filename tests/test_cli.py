@@ -317,3 +317,12 @@ def test_betti_both_mismatch_exits_1(monkeypatch, capsys):
                        "--source", "both")
     assert code == 1
     assert "DIFF" in out
+
+
+@pytest.mark.parametrize("argv", [["catalan", "--n", "5"], ["verify", "--suite", "appendixB"]])
+@pytest.mark.parametrize("missing_parent", [False, True])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv, missing_parent):
+    target = tmp_path / "missing" / "out.txt" if missing_parent else tmp_path
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2 and not out
+    assert err.startswith(f"error: cannot write {target}: ")

@@ -13,24 +13,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentkoszul.fields import GF, QQ, InvalidFieldError
-from momentkoszul.ideals import family, generators
+from momentkoszul.ideals import family, generators, sp_relabeled_generators
 from momentkoszul.linalg import InvalidInputError
 from momentkoszul.monomials import (
     ambient_dimension,
     basis_index,
     bidegree_of,
+    bidegrees_up_to_total,
     monomial_basis,
     sub_bidegrees,
+    total,
 )
-from momentkoszul.pieces import (
-    ideal_piece,
-    ideal_span_vectors,
-    pieces_equal,
-    quotient_dimension,
-)
+from momentkoszul.pieces import ideal_span_vectors, quotient_dimension
 from momentkoszul.polynomials import Polynomial, format_polynomial
+from momentkoszul.quotient import QuotientRing, piece_contains, pieces_equal
 
-from helpers import brute_rank
+from helpers import brute_rank, echelon_contains, echelon_equal
 
 
 def test_monomial_basis_single():
@@ -86,9 +84,9 @@ def test_polynomial_formatting():
 
 
 def test_ideal_piece_hypersurface():
-    gens = generators(family("gl", 1))
-    assert ideal_piece(gens, (1, 1)).dimension == 1
-    assert ideal_piece(gens, (2, 0)).dimension == 0
+    ring = QuotientRing(generators(family("gl", 1)), 1, 1)
+    assert ring.ideal_rank((1, 1)) == 1
+    assert ring.ideal_rank((2, 0)) == 0
 
 
 def test_ideal_piece_dimension_against_brute_force():
@@ -102,15 +100,18 @@ def test_ideal_piece_dimension_against_brute_force():
             row[index[m]] = c
         rows.append(row)
     assert brute_rank(rows) == 3
-    assert ideal_piece(gens, (1, 1)).dimension == 3
+    assert QuotientRing(gens, 2, 2).ideal_rank((1, 1)) == 3
 
 
 def test_ideal_piece_is_generator_order_independent():
     gens = generators(family("sp", 2))
     shuffled = list(gens)
     Random(3).shuffle(shuffled)
+    ring, other = QuotientRing(gens, 4, 4), QuotientRing(shuffled, 4, 4)
     for v in [(1, 1), (2, 1), (2, 2)]:
-        assert ideal_piece(gens, v).vectors == ideal_piece(shuffled, v).vectors
+        assert (ring.piece(v).rref.canonical_rows()
+                == other.piece(v).rref.canonical_rows())
+        assert ring.piece(v).basis == other.piece(v).basis
 
 
 def test_quotient_dimension_examples():
@@ -131,14 +132,54 @@ def test_mixed_ambient_rejected():
     a = Polynomial.from_dict(1, 1, {(1, 1): 1})
     b = Polynomial.from_dict(2, 2, {(1, 0, 1, 0): 1})
     with pytest.raises(InvalidInputError):
-        ideal_piece([a, b], (1, 1))
+        quotient_dimension([a, b], (1, 1))
 
 
 def test_pieces_equal_detects_difference():
     gl = generators(family("gl", 2))
     sl = generators(family("sl", 2))
-    assert not pieces_equal(gl, sl, (1, 1))
-    assert pieces_equal(gl, gl, (2, 1))
+    assert not pieces_equal(gl, sl, [(1, 1)])
+    assert pieces_equal(gl, gl, [(2, 1)])
+
+
+def test_empty_and_mixed_generator_lists_are_refused():
+    gl2, gl3 = generators(family("gl", 2)), generators(family("gl", 3))
+    calls = [lambda x, y: piece_contains(x, y, [(1, 1)]),
+             lambda x, y: pieces_equal(x, y, [(1, 1)])]
+    for call in calls:
+        for args in [([], gl2), (gl2, []), ([], [])]:
+            with pytest.raises(InvalidInputError, match="empty generator list"):
+                call(*args)
+        for args in [(gl2, gl3), (gl3, gl2)]:
+            with pytest.raises(InvalidInputError, match="different ambients"):
+                call(*args)
+    with pytest.raises(InvalidInputError, match="empty generator list"):
+        quotient_dimension([], (1, 1))
+    with pytest.raises(InvalidInputError, match="different ambients"):
+        quotient_dimension([*gl2, *gl3], (1, 1))
+
+
+STRUCTURE_DEGREES = [v for v in bidegrees_up_to_total(6) if total(v) >= 2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pieces_equal_sees_a_dropped_or_altered_relabeled_generator(n):
+    sp = generators(family("sp", n))
+    alt = sp_relabeled_generators(n)
+    assert pieces_equal(sp, alt, STRUCTURE_DEGREES)
+    first = alt[0]
+    (mono, c), *rest = first.terms
+    flipped = Polynomial.from_dict(first.num_p, first.num_q,
+                                   {mono: -c, **dict(rest)})
+    assert not pieces_equal(sp, alt[1:], STRUCTURE_DEGREES)
+    assert not pieces_equal(sp, [flipped, *alt[1:]], STRUCTURE_DEGREES)
+
+
+def test_piece_contains_refuses_the_wrong_inclusions():
+    gl, sl, so = (generators(family(kind, 3)) for kind in ("gl", "sl", "so"))
+    assert piece_contains(gl, sl, STRUCTURE_DEGREES)
+    assert not piece_contains(sl, gl, STRUCTURE_DEGREES)
+    assert not piece_contains(so, sl, STRUCTURE_DEGREES)
 
 
 @st.composite
@@ -155,6 +196,25 @@ def bihomogeneous_generators(draw):
             min_size=len(monos), max_size=len(monos)))
         gens.append(Polynomial.from_dict(num_p, num_q, dict(zip(monos, coeffs))))
     return gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(bihomogeneous_generators(), st.data(), st.sampled_from([QQ, GF(32003)]))
+def test_structure_checks_agree_with_a_per_degree_echelon(gens, data, fld):
+    # a and b share a generator; degrees come shuffled, with gaps
+    k = data.draw(st.integers(1, len(gens)))
+    a, b = gens[:k], gens[k - 1:]
+    degrees = data.draw(st.lists(st.sampled_from(list(bidegrees_up_to_total(4))),
+                                 unique=True, max_size=15))
+    # flipping one sign keeps every shape, so only the spans can differ
+    (mono, c), *rest = gens[0].terms
+    flipped = [Polynomial.from_dict(gens[0].num_p, gens[0].num_q,
+                                    {mono: -c, **dict(rest)}), *gens[1:]]
+    for big, small in [(a, b), (b, a), (gens, a), (gens, flipped)]:
+        assert (piece_contains(big, small, degrees, fld)
+                == echelon_contains(big, small, degrees, fld))
+    for x, y in [(a, b), (gens, flipped)]:
+        assert pieces_equal(x, y, degrees, fld) == echelon_equal(x, y, degrees, fld)
 
 
 @settings(max_examples=80, deadline=None)

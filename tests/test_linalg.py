@@ -103,7 +103,7 @@ def test_echelon_reduce_is_canonical_section():
     r1 = space.reduce({0: Fraction(2), 1: Fraction(2), 2: Fraction(1)})
     r2 = space.reduce({2: Fraction(1)})
     assert r1 == r2 == {2: Fraction(1)}
-    assert space.contains({0: Fraction(-3), 1: Fraction(-3)})
+    assert not space.reduce({0: Fraction(-3), 1: Fraction(-3)})
 
 
 def test_kernel_of_rank_one_pair():

@@ -1,4 +1,7 @@
+from pathlib import Path
+
 from momentkoszul import verify
+from momentkoszul.linalg import Echelon
 from momentkoszul.verify import (
     SUITES,
     run_suite,
@@ -68,3 +71,32 @@ def test_run_suite_all_is_the_named_suites_in_order(monkeypatch):
     assert code == 0
     assert checks == [c for name in SUITES for c in run_suite(name)[0]]
     assert [name for name, _, _ in checks] == list(SUITES)
+
+
+def test_structure_suite_eliminates_few_vectors(monkeypatch):
+    # each ring reads its zero pieces off the piece below, so most pieces
+    # are never eliminated
+    calls = []
+    insert = Echelon.insert
+
+    def counted(self, vec):
+        calls.append(1)
+        return insert(self, vec)
+
+    monkeypatch.setattr(Echelon, "insert", counted)
+    _all_pass(suite_structure())
+    assert len(calls) <= 5000
+
+
+def test_benchmark_tracer_patches_the_structure_checks(monkeypatch):
+    # the benchmark's tracer wraps ``verify.pieces_equal`` and
+    # ``verify.piece_contains`` by name; the names must stay there
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    tr = tracing.Tracer()
+    checks = tracing.traced_verify(tr, "structure", "structure")
+    assert checks == suite_structure()
+    names = [name for name, _, _, _, _ in tr.spans]
+    assert "verify.structure" in names
+    assert "pieces.structure" in names
