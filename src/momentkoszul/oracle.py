@@ -46,7 +46,7 @@ from itertools import combinations
 from .betti import BettiTable
 from .fields import QQ, Field
 from .ideals import RepFamily
-from .linalg import Echelon, kernel_of_columns, transpose
+from .linalg import Echelon, InvalidInputError, kernel_of_columns, transpose
 from .monomials import BiDegree, bidegrees_up_to_total, sub_bidegrees, total
 from .polynomials import format_monomial, variable_names
 from .quotient import QuotientRing, ring_for_family
@@ -333,6 +333,10 @@ def tor_over_S(f: RepFamily, max_i: int | None = None,
     ring = ring_for_family(f, fld)
     if max_i is None:
         max_i = projective_dimension(f)
+    if max_i < 0 or (max_total_degree is not None and max_total_degree < 0):
+        raise InvalidInputError(
+            f"window must be non-negative, got max_i={max_i}, "
+            f"max_total_degree={max_total_degree}")
     # the complex stops at i = nvars, so higher degrees add only zeros
     max_i = min(max_i, ring.nvars)
     bounds = [i + 3 if max_total_degree is None else max_total_degree

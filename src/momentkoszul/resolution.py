@@ -3,28 +3,40 @@ built degree by degree.
 
 State per step: the free module F_s is a list of generator bidegrees; the
 presentation d_s is one column per generator, a sparse vector over the graded
-basis of F_{s-1} in the generator's bidegree.  For each bidegree v (scanned
-in increasing total degree, p-heavy first) the kernel K_v of d_s is read off
-the reduced row-echelon form of its matrix.  The new generators of F_{s+1} in
-degree v span a complement of (m.K)_v in K_v: the span of the variable
-multiples x.K_{v - deg x} is built first, and stops as soon as it fills K_v
-(it lies inside K_v); then the kernel basis vectors, sparsest first (a stable
-sort, so the choice is deterministic), are added while they leave the span,
-and each one that does becomes a generator, until the span is K_v.
+basis of F_{s-1} in the generator's bidegree.  Step s scans the bidegrees v
+once, in increasing total degree (p-heavy first), and in each v chooses the
+generators of F_s and builds the kernel of d_s.  The generators of degree v
+span a complement of (m.K)_v in K_v, where K is the kernel of d_{s-1}:
+
+1. The columns of d_s in degree v of the generators below v are built; they
+   span (m.K)_v, because the generators below v generate K there.  They are
+   inserted into an echelon form until it fills K_v (they lie inside K_v).
+2. The basis vectors of K_v, sparsest first (a stable sort, so the choice
+   is deterministic), are added while they leave the span; each one that
+   does becomes a generator, until the span is K_v.
+3. The generators' own columns are appended, and the kernel of d_s in
+   degree v is read off the reduced row-echelon form of all the columns.
+   K_v of d_{s-1} is dropped once read.
+
+The last step builds no kernel, so it does not build the columns of d_s:
+there (m.K)_v is spanned by the variable multiples x.K_{v - deg x}, built
+only until they fill K_v.
+
+The column of (generator h, quotient basis monomial m) is h's presentation
+for m = 1, and for m != 1 x times the column of (h, m/x), where x is the
+first variable dividing m.  The quotient basis is the set of standard
+monomials, closed under division, so m/x is a basis monomial one total
+degree lower and its column was built just before.  The columns of a degree
+are dropped once both of their variable multiples are built, and those of
+the top total degree are never kept.
 
 Minimality (no unit entry in any presentation) is checked on every chosen
 vector and raises ``AssertionError`` even under ``python -O``.  That covers
-all of K_v: K_v = (m.K)_v + span(chosen), and no variable multiple has an
+all of K_v: K_v = (m.K)_v + span(chosen), and no element of (m.K)_v has an
 entry at a generator of degree v, so an element of K_v with such an entry
-forces one on some chosen vector.
-
-The kernel of d_s has one column per (generator h, quotient basis monomial
-m).  The column of (h, 1) is h's presentation; for m != 1 it is x times the
-column of (h, m/x), where x is the first variable dividing m.  The quotient
-basis is the set of standard monomials, closed under division, so m/x is a
-basis monomial one total degree lower and its column was built just before.
-The columns of a degree are dropped once both of their variable multiples
-are built, and those of the top total degree are never kept.
+forces one on some chosen vector.  The chosen vectors are read off the
+kernel's elimination and the span is a second elimination, of the columns,
+so the check cross-checks the two.
 
 Generators above the configured degree bound are invisible, but they cannot
 influence Betti numbers inside the bound, so the reported window is exact.
@@ -35,7 +47,7 @@ from __future__ import annotations
 from .betti import BettiTable
 from .fields import QQ, Field
 from .ideals import RepFamily
-from .linalg import Echelon, axpy, kernel_of_columns
+from .linalg import Echelon, InvalidInputError, kernel_of_columns
 from .monomials import (
     BiDegree,
     basis_index,
@@ -74,30 +86,118 @@ class _Module:
         self._blocks[v] = result
         return result
 
+    def add_generators(self, v: BiDegree, count: int):
+        """Appends ``count`` generators of degree v.  Their blocks come last
+        in degree v; no block above v may be built yet."""
+        offsets, owners = self.blocks(v)
+        for gi in range(len(self.gens), len(self.gens) + count):
+            offsets[gi] = len(owners)
+            owners.append((gi, (0, 0), 0))
+        self.gens.extend([v] * count)
+
     def multiply_by_var(self, x: int, v: BiDegree, vec: dict) -> dict:
         """Image in degree v + deg(x) of a degree-v element under variable x."""
         ring = self.ring
         p = ring.field.p
         _, owners = self.blocks(v)
-        # one generator's terms share ``rest`` and land in one target block
-        per_gen: dict[int, dict] = {}
-        for pos, c in vec.items():
-            gi, rest, inner = owners[pos]
-            axpy(per_gen.setdefault(gi, {}), c, ring.mult_by_var(x, rest)[inner], p)
         e = ring.var_bidegree(x)
         offsets, _ = self.blocks((v[0] + e[0], v[1] + e[1]))
         out: dict[int, object] = {}
-        for gi, acc in per_gen.items():
-            off = offsets.get(gi)
-            for tpos, m in acc.items():
-                out[off + tpos] = m
+        get = out.get
+        for pos, c in vec.items():
+            gi, rest, inner = owners[pos]
+            col = ring.mult_by_var(x, rest)[inner]
+            if not col:
+                continue
+            # a generator's terms land in its block of the target degree
+            off = offsets[gi]
+            for tpos, m in col.items():
+                k = off + tpos
+                y = get(k, 0) + c * m
+                if p is not None:
+                    y %= p
+                if y:
+                    out[k] = y
+                else:
+                    del out[k]
         return out
+
+
+def _first_divisions(ring: QuotientRing, w: BiDegree) -> list[tuple]:
+    """(x, deg x, k) for each basis monomial m of degree w: x is the first
+    variable dividing m, and m/x is basis monomial k of degree w - deg x."""
+    out = []
+    for mono in ring.piece(w).basis:
+        x = next(y for y, e in enumerate(mono) if e)
+        e_x = ring.var_bidegree(x)
+        lower = sub_bidegrees(w, e_x)
+        below = mono[:x] + (mono[x] - 1,) + mono[x + 1:]
+        k = ring.piece(lower).positions[
+            basis_index(ring.num_p, ring.num_q, lower)[below]]
+        out.append((x, e_x, k))
+    return out
+
+
+def _lower_columns(ring: QuotientRing, module: _Module, next_module: _Module,
+                   built: dict[BiDegree, list[dict]], v: BiDegree,
+                   divisions: dict) -> list[dict]:
+    """The columns in degree v of the generators of next_module below v.
+
+    The column of (generator h, basis monomial m) is x times the column of
+    (h, m/x), built one total degree lower, where x is the first variable
+    dividing m.  Each is a vector over module's basis in degree v.
+    """
+    columns = []
+    for gi, rest, inner in next_module.blocks(v)[1]:
+        got = divisions.get(rest)
+        if got is None:
+            got = divisions[rest] = _first_divisions(ring, rest)
+        x, e_x, k = got[inner]
+        u = sub_bidegrees(v, e_x)
+        col = built[u][next_module.blocks(u)[0][gi] + k]
+        columns.append(module.multiply_by_var(x, u, col))
+    return columns
+
+
+def _complement(kvecs: list[dict], span_vectors, owners: list, p: int | None,
+                step: int, v: BiDegree) -> list[dict]:
+    """The vectors of the basis ``kvecs`` of K_v, sparsest first, that leave
+    the span of ``span_vectors`` (spanning (m.K)_v) and of those before them.
+
+    Raises ``AssertionError`` on a chosen vector with an entry at a
+    generator of degree v (``owners`` is the basis of degree v).
+    """
+    dim = len(kvecs)
+    chosen = []
+    if not dim:
+        return chosen
+    # (m.K)_v lies inside K_v: stop once it fills K_v
+    span = Echelon(p)
+    for vec in span_vectors:
+        span.insert(vec)
+        if span.dimension == dim:
+            return chosen
+    for kv in sorted(kvecs, key=len):
+        if span.dimension == dim:
+            break
+        if not span.insert(kv):
+            continue
+        for pos in kv:
+            if owners[pos][1] == (0, 0):
+                raise AssertionError(
+                    f"unit entry in presentation at step {step}, degree {v}")
+        chosen.append(kv)
+    return chosen
 
 
 def resolve_k_over_quotient(f: RepFamily, max_i: int, max_total_degree: int,
                             fld: Field = QQ) -> BettiTable:
     """Betti table of the residue field over S/I, exact within the window
     i <= max_i, total degree <= max_total_degree."""
+    if max_i < 0 or max_total_degree < 0:
+        raise InvalidInputError(
+            f"resolution window must be non-negative, got max_i={max_i}, "
+            f"max_total_degree={max_total_degree}")
     ring = ring_for_family(f, fld)
     bidegs = [v for v in bidegrees_up_to_total(max_total_degree)]
     entries = {(0, (0, 0)): 1}
@@ -113,72 +213,49 @@ def resolve_k_over_quotient(f: RepFamily, max_i: int, max_total_degree: int,
             kernels[v] = [{k: 1} for k in range(d)]
 
     boundary = []
+    divisions: dict[BiDegree, list[tuple]] = {}
     for step in range(1, max_i + 1):
-        new_gens: list[BiDegree] = []
-        new_cols: list[dict] = []
-        for v in bidegs:
-            kvecs = kernels.get(v, [])
-            dim = len(kvecs)
-            if not dim:
-                continue
-            # (m.K)_v lies inside K_v: stop once it fills K_v
-            span = Echelon(fld.p)
-            for x in range(ring.nvars):
-                e = ring.var_bidegree(x)
-                v_prev = (v[0] - e[0], v[1] - e[1])
-                for kv in kernels.get(v_prev, []):
-                    if span.dimension == dim:
-                        break
-                    span.insert(module.multiply_by_var(x, v_prev, kv))
-            _, owners = module.blocks(v)
-            for kv in sorted(kvecs, key=len):
-                if span.dimension == dim:
-                    break
-                if not span.insert(kv):
-                    continue
-                for pos in kv:
-                    if owners[pos][1] == (0, 0):
-                        raise AssertionError(
-                            f"unit entry in presentation at step {step}, degree {v}")
-                new_gens.append(v)
-                new_cols.append(kv)
-        for v in sorted(set(new_gens)):
-            entries[(step, v)] = new_gens.count(v)
-            if v[0] + v[1] == max_total_degree:
-                # generators on the window edge: the next steps may have
-                # syzygies just outside; the caller must widen to trust them
-                boundary.append((step, v))
-        next_module = _Module(ring, new_gens)
-        if step == max_i:
-            break
-        # kernel of d_step: one column per (generator h, quotient basis
-        # monomial m), in the order of next_module's basis
-        kernels = {}
+        last = step == max_i
+        next_module = _Module(ring, [])
+        counts: dict[BiDegree, int] = {}
+        # columns of d_step per degree, in next_module's basis order
         built: dict[BiDegree, list[dict]] = {}
+        next_kernels: dict[BiDegree, list[dict]] = {}
         for v in bidegs:
-            _, owners = next_module.blocks(v)
-            columns = []
-            for gi, rest, inner in owners:
-                if rest == (0, 0):
-                    columns.append(new_cols[gi])
-                    continue
-                # x times the column of (h, m/x), built one total degree lower
-                mono = ring.monomial_label(rest, inner)
-                x = next(y for y, e in enumerate(mono) if e)
-                e_x = ring.var_bidegree(x)
-                u, lower = sub_bidegrees(v, e_x), sub_bidegrees(rest, e_x)
-                below = mono[:x] + (mono[x] - 1,) + mono[x + 1:]
-                k = ring.piece(lower).positions[
-                    basis_index(ring.num_p, ring.num_q, lower)[below]]
-                col = built[u][next_module.blocks(u)[0][gi] + k]
-                columns.append(module.multiply_by_var(x, u, col))
+            if last:
+                # no next kernel to build: (m.K)_v is spanned by the
+                # variable multiples x.K_{v - deg x}
+                span_vectors = (
+                    module.multiply_by_var(x, u, kv)
+                    for x in range(ring.nvars)
+                    for u in [sub_bidegrees(v, ring.var_bidegree(x))]
+                    for kv in kernels.get(u, []))
+            else:
+                span_vectors = columns = _lower_columns(
+                    ring, module, next_module, built, v, divisions)
+            # K_v is read once, but for the variable multiples of the last step
+            chosen = _complement(
+                kernels.get(v, []) if last else kernels.pop(v, []),
+                span_vectors, module.blocks(v)[1], fld.p, step, v)
+            if chosen:
+                counts[v] = len(chosen)
+            if last:
+                continue
+            next_module.add_generators(v, len(chosen))
+            columns += chosen
             if columns:
-                kernels[v] = kernel_of_columns(columns, fld)
+                next_kernels[v] = kernel_of_columns(columns, fld)
                 if total(v) < max_total_degree:
                     built[v] = columns
             # degree u is read at u + (1, 0) and, last, at u + (0, 1) = v
             built.pop((v[0], v[1] - 1), None)
-        module = next_module
+        for v in sorted(counts):
+            entries[(step, v)] = counts[v]
+            if total(v) == max_total_degree:
+                # generators on the window edge: the next steps may have
+                # syzygies just outside; the caller must widen to trust them
+                boundary.append((step, v))
+        module, kernels = next_module, next_kernels
 
     return BettiTable(str(f.kind.value), f.n, entries,
                       source="oracle-resolution", field=str(fld),

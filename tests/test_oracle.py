@@ -19,7 +19,7 @@ from momentkoszul.closed import (
 from momentkoszul.fields import GF, QQ
 from momentkoszul.ideals import family
 from momentkoszul import oracle
-from momentkoszul.linalg import Echelon, axpy
+from momentkoszul.linalg import Echelon, InvalidInputError, axpy
 from momentkoszul.monomials import bidegrees_up_to_total
 from momentkoszul.oracle import (
     KoszulOracle,
@@ -562,3 +562,13 @@ def test_explicit_total_degree_bound_is_respected():
     t = tor_over_S(family("sl", 2), max_i=2, max_total_degree=6)
     assert t.totals()[:3] == [1, 3, 5]
     assert all(v[0] + v[1] <= 6 for (_, v) in t.entries)
+
+
+def test_tor_refuses_a_negative_max_i():
+    with pytest.raises(InvalidInputError, match="max_i=-1"):
+        tor_over_S(family("sl", 2), max_i=-1)
+
+
+def test_tor_refuses_a_negative_total_degree_bound():
+    with pytest.raises(InvalidInputError, match="max_total_degree=-3"):
+        tor_over_S(family("sl", 2), max_total_degree=-3)

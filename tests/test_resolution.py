@@ -16,6 +16,7 @@ import momentkoszul.resolution as resolution
 from momentkoszul.closed import froberg_product, hilbert_closed, roos_series
 from momentkoszul.fields import GF, QQ
 from momentkoszul.ideals import family
+from momentkoszul.linalg import InvalidInputError
 from momentkoszul.monomials import basis_index, bidegrees_up_to_total
 from momentkoszul.quotient import ring_for_family
 from momentkoszul.resolution import resolve_k_over_quotient
@@ -115,8 +116,9 @@ def test_benchmark_resolutions_are_symmetric_and_field_independent(
         assert a.top(3) == 4
 
 
-#: The tables of the four benchmark windows over QQ, recorded with another
-#: choice of generators (the reduced row-echelon rows of each kernel).
+#: The tables of the four benchmark windows over QQ and F_32003 alike,
+#: recorded over QQ with another choice of generators (the reduced
+#: row-echelon rows of each kernel).
 BENCHMARK_TABLES = {
     ("sl", 3, 5, 7): {
         (0, (0, 0)): 1, (1, (0, 1)): 3, (1, (1, 0)): 3, (2, (0, 2)): 3,
@@ -155,9 +157,36 @@ BENCHMARK_TABLES = {
                          ids=lambda w: f"{w[0]}_{w[1]}")
 def test_benchmark_windows_keep_their_tables(window):
     kind, n, max_i, max_total = window
-    t = resolve_k_over_quotient(family(kind, n), max_i, max_total)
-    assert t.entries == BENCHMARK_TABLES[window]
-    assert t.boundary_hits == []
+    for fld in (QQ, GF(32003)):
+        t = resolve_k_over_quotient(family(kind, n), max_i, max_total, fld)
+        assert t.entries == BENCHMARK_TABLES[window], fld
+        assert t.boundary_hits == [], fld
+
+
+def test_resolution_builds_each_multiple_of_sp2_once(monkeypatch):
+    # every step but the last reads (m.K)_v off the columns of d_step it
+    # builds anyway; building the variable multiples x.K_{v - deg x} as well
+    # took 61,392 products on sp_2 (4, 6)
+    real = resolution._Module.multiply_by_var
+    calls = []
+
+    def counted(self, x, v, vec):
+        calls.append(1)
+        return real(self, x, v, vec)
+
+    monkeypatch.setattr(resolution._Module, "multiply_by_var", counted)
+    resolve_k_over_quotient(family("sp", 2), 4, 6)
+    assert len(calls) <= 50_000, f"{len(calls)} multiply_by_var calls"
+
+
+def test_resolution_refuses_a_negative_total_degree_bound():
+    with pytest.raises(InvalidInputError, match="max_total_degree=-2"):
+        resolve_k_over_quotient(family("sl", 2), 3, -2)
+
+
+def test_resolution_refuses_a_negative_max_i():
+    with pytest.raises(InvalidInputError, match="max_i=-1"):
+        resolve_k_over_quotient(family("sl", 2), -1, 5)
 
 
 PROPERTY_FAMILIES = (("gl", 2), ("sl", 2), ("so", 3), ("sp", 1))
