@@ -133,7 +133,7 @@ def _ideal_piece_dim(n: int, pairs, a: int, b: int, fld: Field) -> int:
             term = _wedge_pair(mu, i, n + j)
             if term is not None:
                 sign, m = term
-                ech.insert({index[m]: sign})
+                ech.insert({index[m]: fld.of(sign)})
     return ech.dimension
 
 

@@ -9,7 +9,10 @@ plain int arithmetic with no method call per scalar.
 * ``axpy(acc, c, vec, p)`` adds ``c * vec`` to ``acc`` in place.
 * ``Echelon(p)`` keeps the row space of the vectors inserted into it.  Each
   row is keyed by its smallest index (its pivot) and scaled to pivot 1, so
-  the rank and the pivot set do not depend on insertion order.  Insertion
+  the rank and the pivot set do not depend on insertion order.  ``insert``
+  copies its vector without reducing it, so, as for ``axpy``, its entries
+  must be nonzero field elements; an entry that is zero in the field raises
+  ``InvalidInputError`` instead of stalling the elimination.  Insertion
   reduces forward only; ``reduce`` and ``canonical_rows`` back-substitute once,
   on demand, to the reduced row-echelon form, which is a canonical invariant
   of the subspace for the fixed index order.  Their results hold no integral
@@ -87,30 +90,44 @@ class Echelon:
                 for j, x in vec.items()}
 
     def insert(self, vec: dict) -> bool:
-        """Add ``vec`` to the span; returns True when the span grows."""
-        vec = self._clean(vec)
+        """Add ``vec`` to the span; returns True when the span grows.
+
+        ``vec`` is copied, not reduced: its entries must be nonzero field
+        elements.  One that is zero in the field raises ``InvalidInputError``
+        when it reaches the smallest index, and is caught in the new row
+        otherwise, so it can neither stall the loop nor enter a row.  Over
+        F_p a new row is stored with every entry in 1..p-1.
+        """
+        vec = dict(vec)
         rows, p = self.rows, self.p
         # subtract rows until the smallest index is not a pivot; ``vec`` is
         # left empty exactly when it lies in the span
         while vec:
             piv = min(vec)
+            c = vec[piv]
+            if not (c if p is None else c % p):
+                raise InvalidInputError(f"zero entry at index {piv}")
             row = rows.get(piv)
             if row is None:
                 break
-            axpy(vec, -vec[piv], row, p)
+            axpy(vec, -c, row, p)
         if not vec:
             return False
-        c = vec[piv]
-        if c != 1:
-            if p is not None:
+        if p is not None:
+            # scaling to pivot 1 also reduces an entry outside 1..p-1
+            if c != 1 or min(vec.values()) < 1 or max(vec.values()) >= p:
                 inv = pow(c, -1, p)
                 vec = {j: x * inv % p for j, x in vec.items()}
-            elif c == -1:
-                # the usual QQ pivot besides 1: negate, no Fraction round trip
-                vec = {j: -x for j, x in vec.items()}
-            else:
-                inv = QQ.inv(c)
-                vec = {j: QQ.of(x * inv) for j, x in vec.items()}
+                if 0 in vec.values():
+                    raise InvalidInputError("zero entry in a new row")
+        elif not all(vec.values()):
+            raise InvalidInputError("zero entry in a new row")
+        elif c == -1:
+            # the usual QQ pivot besides 1: negate, no Fraction round trip
+            vec = {j: -x for j, x in vec.items()}
+        elif c != 1:
+            inv = QQ.inv(c)
+            vec = {j: QQ.of(x * inv) for j, x in vec.items()}
         rows[piv] = vec
         self._reduced = False
         return True
@@ -197,7 +214,8 @@ class LinearMap:
             raise InvalidInputError("matrix shape mismatch")
 
     def rank(self) -> int:
-        vectors = [{j: self.field.of(x) for j, x in enumerate(row)}
+        of = self.field.of
+        vectors = [{j: y for j, x in enumerate(row) if (y := of(x))}
                    for row in self.entries]
         return rank_of_vectors(vectors, self.field)
 

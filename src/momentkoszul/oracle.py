@@ -12,6 +12,11 @@ over the quotient basis of (S/I)_{v - deg eps}.  The differential removes one
 variable at a time with the usual alternating sign and multiplies it into the
 quotient factor.
 
+The exterior monomials of each degree i, with their bidegrees, their faces
+and the pairs of variables in them, are tabulated once per shape
+(``_exterior_table``), so the bases, the differentials and the d.d check
+read them instead of enumerating and slicing them per bidegree.
+
 The d.d check does not multiply the two differentials.  On the column
 (eps, m), d_{i-1} . d_i is the sum over pairs {a, b} of eps of
 +-(x_a x_b - x_b x_a) m, so it vanishes exactly when the differential is
@@ -30,18 +35,24 @@ Within v the differentials are ranked from the highest homological degree
 down, with clearing (Chen and Kerber, "Persistent homology computation with
 a twist", 2011): a row of the column echelon of d_{i+1} lies in the image of
 d_{i+1}, so with d.d = 0 the column of d_i at its pivot j is a combination
-of the columns after j, and ``rank`` skips it.  Since clearing trusts
-d.d = 0, every rank of v comes first, then every d.d check, and only then
-the Betti numbers: a corrupted differential fails as ``d.d != 0`` before a
-Betti number is derived from a cleared rank.
+of the columns after j, and ``rank`` skips it.  Clearing trusts d.d = 0, so
+each differential is handled in one pass, top-down: d_i is d.d-checked,
+then ranked, then its columns are released.  When d_i is ranked, the check
+of d_{i+1} (its assembly and every square under it) and the assembly of d_i
+have both passed, so d_i . d_{i+1} = 0 holds where clearing uses it.  The
+Betti numbers are read only after every differential of v is checked: a
+corrupted differential fails as ``d.d != 0`` before a Betti number is
+derived from a cleared rank, and at most one differential's columns are
+held at a time.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from functools import partial
+from functools import cache, partial
 from itertools import combinations
+from typing import NamedTuple
 
 from .betti import BettiTable
 from .fields import QQ, Field
@@ -53,9 +64,37 @@ from .quotient import QuotientRing, ring_for_family
 from .series import TruncatedSeries
 
 
-def _ext_bidegree(eps: tuple[int, ...], num_p: int) -> BiDegree:
-    a = sum(1 for x in eps if x < num_p)
-    return (a, len(eps) - a)
+class _ExteriorTable(NamedTuple):
+    """The exterior monomials of one degree i, tabulated once per shape."""
+
+    #: (eps, deg eps) in ``combinations`` order
+    monomials: tuple
+    #: eps -> its faces, eps without eps[r] for each r; each face is the
+    #: monomial object of the degree i - 1 table, so the faces cost no copies
+    faces: dict
+    #: deg eps -> the pairs {a, b} of the monomials of that bidegree
+    pairs: dict
+
+
+@cache
+def _exterior_table(nvars: int, num_p: int, i: int) -> _ExteriorTable:
+    """The degree-i exterior monomials on ``nvars`` variables, the first
+    ``num_p`` of bidegree (1, 0) and the rest of bidegree (0, 1).
+
+    Each shape is tabulated once and kept for the life of the process; the
+    tables of all degrees of one shape hold its 2^nvars monomials.  Callers
+    only read them."""
+    lower = ({eps: eps for eps, _ in _exterior_table(nvars, num_p, i - 1).monomials}
+             if i else {})
+    shapes = [(a, i - a) for a in range(i + 1)]
+    monomials, faces, pairs = [], {}, {}
+    for eps in combinations(range(nvars), i):
+        e = shapes[sum(1 for x in eps if x < num_p)]
+        monomials.append((eps, e))
+        faces[eps] = tuple(lower[eps[:r] + eps[r + 1:]] for r in range(i))
+        pairs.setdefault(e, set()).update(combinations(eps, 2))
+    return _ExteriorTable(tuple(monomials), faces,
+                          {e: tuple(sorted(ab)) for e, ab in pairs.items()})
 
 
 class ChainPiece:
@@ -82,9 +121,10 @@ class ChainPiece:
 class KoszulOracle:
     """Chain bases, differentials and ranks of the complex over one ring.
 
-    Every result is cached per (i, v) for the oracle's lifetime; the
-    differentials dominate its memory.  ``tor_over_S`` uses one oracle per
-    bidegree v and ranks its differentials top-down, so that ``rank`` can
+    Every result is cached per (i, v) for the oracle's lifetime, unless
+    ``release`` drops a differential's columns; the differentials dominate
+    its memory.  ``tor_over_S`` uses one oracle per bidegree v and checks,
+    ranks and releases its differentials top-down, so that ``rank`` can
     clear the columns that d_{i+1} already proves dependent; until d_i is
     ranked only the pivot indices of d_{i+1} are kept.  A rank asked for
     on its own finds no pivots and ranks every column.
@@ -108,9 +148,13 @@ class KoszulOracle:
         blocks = []
         offset = 0
         if 0 <= i <= ring.nvars:
-            for eps in combinations(range(ring.nvars), i):
-                w = sub_bidegrees(v, _ext_bidegree(eps, ring.num_p))
-                d = ring.dim(w)
+            table = _exterior_table(ring.nvars, ring.num_p, i)
+            pieces = {}
+            for e in table.pairs:  # every exterior bidegree of degree i
+                w = sub_bidegrees(v, e)
+                pieces[e] = (w, ring.dim(w))
+            for eps, e in table.monomials:
+                w, d = pieces[e]
                 if d:
                     blocks.append((eps, w, offset, d))
                     offset += d
@@ -121,24 +165,30 @@ class KoszulOracle:
     def dimension(self, i: int, v: BiDegree) -> int:
         return self.basis(i, v)[1]
 
+    def _removals(self, i: int, v: BiDegree):
+        """Per block of the (i, v) piece, in order: its offset, its dimension
+        and its removals (r odd, target offset, multiplication map by x_r),
+        one per face of eps that is a block of the (i - 1, v) piece."""
+        ring = self.ring
+        faces = _exterior_table(ring.nvars, ring.num_p, i).faces
+        target = {eps: off for eps, _, off, _ in self.basis(i - 1, v)[0]}
+        for eps, w, off, d in self.basis(i, v)[0]:
+            removals = []
+            for r, face in enumerate(faces[eps]):
+                t = target.get(face)
+                if t is not None:
+                    removals.append((r % 2, t, ring.mult_by_var(eps[r], w)))
+            yield off, d, removals
+
     def columns(self, i: int, v: BiDegree):
         """Columns of the differential K_i -> K_{i-1} in bidegree v."""
         key = (i, v)
         got = self._cols.get(key)
         if got is not None:
             return got
-        ring = self.ring
-        p = ring.field.p
-        blocks, _ = self.basis(i, v)
-        tgt_blocks, _ = self.basis(i - 1, v)
-        tgt_offset = {eps: off for eps, _, off, _ in tgt_blocks}
+        p = self.ring.field.p
         cols = []
-        for eps, w, _, d in blocks:
-            removals = []
-            for r in range(len(eps)):
-                off = tgt_offset.get(eps[:r] + eps[r + 1:])
-                if off is not None:
-                    removals.append((r % 2, off, ring.mult_by_var(eps[r], w)))
+        for _, d, removals in self._removals(i, v):
             for pos in range(d):
                 # each removal lands in its own target block: no entries collide
                 col: dict[int, object] = {}
@@ -196,7 +246,8 @@ class KoszulOracle:
           element, holding exactly the entries (-1)^r x_r m of its removals
           at the offsets of ``basis(i - 1, v)``, and
         * every square commutes: x_a x_b = x_b x_a on (S/I)_w for each pair
-          {a, b} of each block (``QuotientRing.commutes``).
+          {a, b} of each block (``QuotientRing.commutes``).  The blocks of
+          one exterior bidegree share w, so each (pair, w) is asked once.
 
         This covers what the matrix product covers: built from the same
         multiplication maps, the product is zero exactly when those squares
@@ -214,13 +265,7 @@ class KoszulOracle:
         cols = self.columns(i, v)
         if len(cols) != self.dimension(i, v):
             raise fail
-        target = {eps: off for eps, _, off, _ in self.basis(i - 1, v)[0]}
-        for eps, w, off, d in self.basis(i, v)[0]:
-            removals = []
-            for r, x in enumerate(eps):
-                t = target.get(eps[:r] + eps[r + 1:])
-                if t is not None:
-                    removals.append((r % 2, t, ring.mult_by_var(x, w)))
+        for off, d, removals in self._removals(i, v):
             for pos in range(d):
                 col = cols[off + pos]
                 count = 0
@@ -234,9 +279,16 @@ class KoszulOracle:
                             raise fail
                 if len(col) != count:
                     raise fail
-            for a, b in combinations(eps, 2):
-                if not ring.commutes(a, b, w):
-                    raise fail
+        for e, pairs in _exterior_table(ring.nvars, ring.num_p, i).pairs.items():
+            w = sub_bidegrees(v, e)
+            if ring.dim(w):
+                for a, b in pairs:
+                    if not ring.commutes(a, b, w):
+                        raise fail
+
+    def release(self, i: int, v: BiDegree):
+        """Drop the columns of d_i in bidegree v; its rank stays cached."""
+        self._cols.pop((i, v), None)
 
     def betti(self, i: int, v: BiDegree) -> int:
         dim = self.dimension(i, v)
@@ -271,15 +323,20 @@ def default_workers() -> int:
 
 def _bidegree_betti(ring: QuotientRing, task):
     """``(v, {i: beta_i(v)})`` for ``task = (v, degrees)``, from an oracle
-    that holds the complex of v alone and is dropped on return."""
+    that holds the complex of v alone and is dropped on return.
+
+    One pass per differential, from the top: d_i is d.d-checked, ranked
+    with the pivots d_{i+1} left for clearing, and released.  The Betti
+    numbers are read after the last check."""
     v, degrees = task
     oracle = KoszulOracle(ring)
     live = [i for i in degrees if oracle.dimension(i, v)]
     for i in sorted({j for i in live for j in (i, i + 1)}, reverse=True):
-        oracle.rank(i, v)
-    for i in live:
+        # d_{i+1} was checked and d_i is checked here, before clearing in
+        # its rank trusts d_i . d_{i+1} = 0
         oracle.check_dd(i, v)
-        oracle.check_dd(i + 1, v)
+        oracle.rank(i, v)
+        oracle.release(i, v)
     return v, {i: oracle.betti(i, v) for i in degrees}
 
 
@@ -316,14 +373,14 @@ def tor_over_S(f: RepFamily, max_i: int | None = None,
 
     The scanned pairs (i, v) are grouped by v and run highest total degree
     first, so that a pool starts the largest complexes first.  Each
-    bidegree gets its own ``KoszulOracle``, which in turn ranks d_i and
-    d_{i+1} for every degree i of v whose piece is nonzero, top-down with
-    clearing; checks d.d on (i, v) and (i + 1, v) for those degrees, in
-    increasing i; and only then computes beta_i(v), because a cleared rank
-    is right only where d.d = 0.  It is then dropped, so its bases,
-    differentials and ranks live only while v is computed.  The quotient
-    ring's pieces, multiplication maps and checked squares stay cached for
-    the whole call.
+    bidegree gets its own ``KoszulOracle``, which takes d_i and d_{i+1} for
+    every degree i of v whose piece is nonzero, top-down: each is
+    d.d-checked, then ranked with clearing, then its columns are released.
+    Only then are the beta_i(v) computed, because a cleared rank is right
+    only where d.d = 0.  The oracle is then dropped, so its bases and
+    ranks live only while v is computed, and the columns of one
+    differential at a time.  The quotient ring's pieces, multiplication
+    maps and checked squares stay cached for the whole call.
     ``workers`` > 1 maps whole bidegrees, d.d checks included, over a fork
     pool; the entries and ``boundary_hits`` are assembled in scan order
     (i, then v) either way, so the result is bit-identical.

@@ -44,8 +44,9 @@ def ideal_span_vectors(generators, v: BiDegree, fld: Field = QQ):
     of v is P_a x Q_b in canonical order, so a term t = t_p t_q sends the
     (i, j)-th monomial of u to position ``sp[i] * |Q_b| + sq[j]``, where
     ``sp`` and ``sq`` are the cached ``shifted_positions`` tables of t_p and
-    t_q; no product monomial is built.  Each term's positions and field
-    coefficient are computed once per generator, and only when some m exists.
+    t_q; no product monomial is built.  Each term's field coefficient and
+    positions are computed once per generator; a term whose coefficient is
+    zero in the field is skipped, so every entry is a nonzero field element.
 
     ``QuotientRing.piece`` skips this whole span when a cached piece
     directly below v is a zero quotient piece, since then I_v = S_v.
@@ -61,14 +62,17 @@ def ideal_span_vectors(generators, v: BiDegree, fld: Field = QQ):
         a, b = sub_bidegrees(v, w)
         if a < 0 or b < 0:
             continue
-        columns = []
-        for t, _ in g.terms:
+        columns, coeffs = [], []
+        for t, c in g.terms:
+            c = fld.of(c)
+            if not c:
+                continue
             sq = shifted_positions(t[num_p:], b)
             columns.append([i * width + j
                             for i in shifted_positions(t[:num_p], a) for j in sq])
-        if not columns[0]:
+            coeffs.append(c)
+        if not columns or not columns[0]:
             continue
-        coeffs = [fld.of(c) for _, c in g.terms]
         for positions in zip(*columns):
             yield dict(zip(positions, coeffs))
 

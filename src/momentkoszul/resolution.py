@@ -65,6 +65,8 @@ class _Module:
         self.ring = ring
         self.gens = gens
         self._blocks: dict[BiDegree, tuple[dict, list]] = {}
+        # (x, v) -> (owners of v, offsets of v + deg x), for multiply_by_var
+        self._moves: dict[tuple[int, BiDegree], tuple[list, dict]] = {}
 
     def blocks(self, v: BiDegree):
         """Returns (offsets, owners): offsets[gen] is the position of the
@@ -99,9 +101,12 @@ class _Module:
         """Image in degree v + deg(x) of a degree-v element under variable x."""
         ring = self.ring
         p = ring.field.p
-        _, owners = self.blocks(v)
-        e = ring.var_bidegree(x)
-        offsets, _ = self.blocks((v[0] + e[0], v[1] + e[1]))
+        move = self._moves.get((x, v))
+        if move is None:
+            e = ring.var_bidegree(x)
+            move = self._moves[(x, v)] = (
+                self.blocks(v)[1], self.blocks((v[0] + e[0], v[1] + e[1]))[0])
+        owners, offsets = move
         out: dict[int, object] = {}
         get = out.get
         for pos, c in vec.items():
@@ -148,14 +153,19 @@ def _lower_columns(ring: QuotientRing, module: _Module, next_module: _Module,
     dividing m.  Each is a vector over module's basis in degree v.
     """
     columns = []
+    # deg x -> (u = v - deg x, the columns built in u, their block offsets)
+    below: dict[BiDegree, tuple] = {}
     for gi, rest, inner in next_module.blocks(v)[1]:
         got = divisions.get(rest)
         if got is None:
             got = divisions[rest] = _first_divisions(ring, rest)
         x, e_x, k = got[inner]
-        u = sub_bidegrees(v, e_x)
-        col = built[u][next_module.blocks(u)[0][gi] + k]
-        columns.append(module.multiply_by_var(x, u, col))
+        lower = below.get(e_x)
+        if lower is None:
+            u = sub_bidegrees(v, e_x)
+            lower = below[e_x] = (u, built[u], next_module.blocks(u)[0])
+        u, cols, offsets = lower
+        columns.append(module.multiply_by_var(x, u, cols[offsets[gi] + k]))
     return columns
 
 

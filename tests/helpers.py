@@ -9,12 +9,30 @@ comparing ``QuotientRing`` dimensions.
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
 from momentkoszul.linalg import Echelon
 from momentkoszul.monomials import monomial_basis
 from momentkoszul.pieces import ideal_span_vectors
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Fail the block with ``TimeoutError`` after ``seconds``, so an
+    elimination that stops making progress fails instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def brute_rank(rows) -> int:

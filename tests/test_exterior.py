@@ -72,13 +72,14 @@ def test_symmetric_identity_characteristic_guard():
 def test_ext_module_candidate_resolution():
     # the full quadratic ideal matches the cohomology module; the diagonal
     # one falls short already in bidegree (1, 1)
-    for n in (2, 3):
-        data = gl_ext_module_candidates(n)
-        assert data["full_matches"]
-        assert not data["diagonal_matches"]
-        assert data["first_diagonal_mismatch"][0] == (1, 1)
-    both = gl_ext_module_candidates(1)
-    assert both["full_matches"] and both["diagonal_matches"]
+    for fld in (QQ, GF(32003)):
+        for n in (2, 3):
+            data = gl_ext_module_candidates(n, fld)
+            assert data["full_matches"]
+            assert not data["diagonal_matches"]
+            assert data["first_diagonal_mismatch"][0] == (1, 1)
+        both = gl_ext_module_candidates(1, fld)
+        assert both["full_matches"] and both["diagonal_matches"]
 
 
 def test_middle_map_through_public_rank_op():

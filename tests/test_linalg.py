@@ -9,6 +9,7 @@ from momentkoszul.fields import GF, QQ
 from momentkoszul.ideals import family
 from momentkoszul.linalg import (
     Echelon,
+    InvalidInputError,
     LinearMap,
     kernel_of_columns,
     rank,
@@ -17,7 +18,7 @@ from momentkoszul.linalg import (
 from momentkoszul.oracle import KoszulOracle
 from momentkoszul.quotient import ring_for_family
 
-from helpers import brute_rank, brute_rref
+from helpers import brute_rank, brute_rref, deadline
 
 fractional_matrices = st.lists(
     st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
@@ -28,6 +29,12 @@ fractional_matrices = st.lists(
 def test_rank_zero_matrix():
     m = LinearMap(3, 5, [[Fraction(0)] * 5 for _ in range(3)])
     assert rank(m) == 0
+
+
+def test_rank_of_multiples_of_p_is_zero_over_gf_p():
+    with deadline(10):
+        assert rank(LinearMap(2, 3, [[7, 0, 14], [0, 21, 0]], GF(7))) == 0
+        assert rank(LinearMap(2, 2, [[7, 1], [0, 14]], GF(7))) == 1
 
 
 def test_rank_identity():
@@ -52,6 +59,48 @@ def test_rank_agrees_over_large_prime(rows):
     vec_q = [{j: Fraction(x) for j, x in enumerate(r) if x} for r in rows]
     vec_p = [{j: x for j, x in enumerate(r) if x % 32003} for r in rows]
     assert rank_of_vectors(vec_q, QQ) == rank_of_vectors(vec_p, GF(32003))
+
+
+P = 32003
+
+# (modulus or None for QQ, rows already inserted, the vector with a zero)
+ZERO_ENTRIES = [
+    (None, [], {0: 0}),
+    (P, [], {0: 0}),
+    (P, [], {0: P}),
+    (None, [], {0: Fraction(0), 2: 1}),
+    # the zero sits at an index whose row is already there
+    (None, [{0: 1, 1: 1}], {0: 0, 1: 3}),
+    (P, [{0: 1, 1: 1}], {0: 2 * P, 1: 3}),
+    # the zero reaches an existing pivot only after a row is subtracted
+    (None, [{0: 1}, {1: 1}], {0: 5, 1: 0}),
+    (P, [{0: 1}, {1: 1}], {0: 5, 1: P}),
+    # the zero is not at the smallest index and no row is in its way
+    (None, [], {0: 1, 3: 0}),
+    (P, [], {0: 1, 3: P}),
+    (P, [], {0: 2, 3: 0}),
+]
+
+
+@pytest.mark.parametrize("p, rows, vec", ZERO_ENTRIES)
+def test_insert_refuses_an_entry_that_is_zero_in_the_field(p, rows, vec):
+    ech = Echelon(p)
+    for row in rows:
+        ech.insert(row)
+    before = {piv: dict(row) for piv, row in ech.rows.items()}
+    with deadline(10), pytest.raises(InvalidInputError, match="zero entry"):
+        ech.insert(vec)
+    assert ech.rows == before
+
+
+def test_insert_copies_its_vector_and_stores_reduced_rows():
+    vec = {0: 2, 1: 4}
+    ech = Echelon(P)
+    assert ech.insert(vec)
+    assert vec == {0: 2, 1: 4}
+    # a pivot of 1 needs no scaling, but -3 and P + 5 are still reduced
+    assert ech.insert({2: 1, 3: -3, 4: P + 5})
+    assert ech.rows == {0: {0: 1, 1: 2}, 2: {2: 1, 3: P - 3, 4: 5}}
 
 
 def test_echelon_insert_reports_growth():
@@ -113,8 +162,6 @@ def test_kernel_of_rank_one_pair():
 
 
 def test_linear_map_shape_validation():
-    from momentkoszul.linalg import InvalidInputError
-
     with pytest.raises(InvalidInputError):
         LinearMap(2, 2, [[Fraction(0)] * 2])
 

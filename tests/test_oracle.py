@@ -227,6 +227,37 @@ def test_tor_ranks_and_checks_the_keys_of_one_shared_oracle(monkeypatch):
         assert calls == expected, (kind, n)
 
 
+@pytest.mark.parametrize("fld", [QQ, GF(32003)], ids=str)
+@pytest.mark.parametrize("kind, n", [("gl", 3), ("sl", 2), ("sp", 2), ("so", 3)])
+def test_tor_checks_each_differential_before_it_ranks_it(monkeypatch, kind, n, fld):
+    events = []  # (oracle, "dd" or "rank", i, v), in call order
+    held = []    # differentials an oracle holds the columns of, per rank
+    rank, check_dd = KoszulOracle.rank, KoszulOracle.check_dd
+
+    def recording_rank(self, i, v):
+        events.append((self, "rank", i, v))
+        held.append(len(self._cols))
+        return rank(self, i, v)
+
+    def recording_check_dd(self, i, v):
+        events.append((self, "dd", i, v))
+        return check_dd(self, i, v)
+
+    monkeypatch.setattr(KoszulOracle, "rank", recording_rank)
+    monkeypatch.setattr(KoszulOracle, "check_dd", recording_check_dd)
+    table = tor_over_S(family(kind, n), fld=fld, workers=1)
+    assert not betti_closed(family(kind, n)).diff(table)
+    checked, ranked = set(), set()
+    for owner, what, i, v in events:
+        if what == "dd":
+            checked.add((owner, i, v))
+        else:
+            assert (owner, i, v) in checked, (i, v)
+            ranked.add((owner, i, v))
+    assert checked == ranked
+    assert held and max(held) <= 1
+
+
 def test_d_squared_is_checked_inside_pool_workers(monkeypatch):
     columns = KoszulOracle.columns
 
@@ -387,10 +418,11 @@ def test_d_squared_catches_a_flipped_sign_in_a_cleared_column(monkeypatch, worke
     with pytest.raises(AssertionError, match=CLEARED_MESSAGE):
         tor_over_S(family("sl", 2), workers=workers)
     if workers == 1:
+        # d_2 is checked before it is ranked: none of its columns, the
+        # cleared one included, reaches the eliminator
         (cols,) = built
         ids = {id(vec) for vec in inserted}
-        assert id(cols[j]) not in ids
-        assert any(id(col) in ids for col in cols)
+        assert not any(id(col) in ids for col in cols)
 
 
 def test_d_squared_catches_a_cleared_column_under_python_O():

@@ -26,7 +26,7 @@ from momentkoszul.polynomials import Polynomial
 from momentkoszul.quotient import QuotientRing, ring_for_family
 from momentkoszul.verify import ORACLE_RANGE
 
-from helpers import dense_ideal_rank
+from helpers import deadline, dense_ideal_rank
 
 
 @st.composite
@@ -83,6 +83,29 @@ def test_hilbert_oracle_eliminates_no_mixed_piece_past_degree_three(
     assert hilbert_oracle(f, 10).coefficients == hilbert_closed(f, 10).coefficients
     assert (1, 1) in reached
     assert [v for v in reached if v[0] >= 1 and v[1] >= 1 and sum(v) >= 4] == []
+
+
+def test_a_term_zero_in_the_field_changes_no_piece():
+    # over GF(p) the terms p * m and 2p * m vanish: the padded generators
+    # span the same ideal as the plain ones, and no span vector holds a zero
+    p = 32003
+    f = family("sl", 2)
+    gens = generators(f)
+    g = gens[0]
+    extra = next(m for m in monomial_basis(f.num_p, f.num_q, g.bidegree())
+                 if m not in dict(g.terms))
+    padded = [Polynomial.from_dict(f.num_p, f.num_q, {**dict(g.terms), extra: p}),
+              *gens[1:],
+              Polynomial.from_dict(f.num_p, f.num_q, {extra: 2 * p})]
+    fld = GF(p)
+    plain_ring = QuotientRing(gens, f.num_p, f.num_q, fld)
+    padded_ring = QuotientRing(padded, f.num_p, f.num_q, fld)
+    with deadline(60):
+        for v in bidegrees_up_to_total(5):
+            assert all(all(vec.values()) for vec in ideal_span_vectors(padded, v, fld))
+            plain, got = plain_ring.piece(v), padded_ring.piece(v)
+            assert got.basis == plain.basis, v
+            assert got.rref.canonical_rows() == plain.rref.canonical_rows(), v
 
 
 def test_ideal_rank_far_up_on_a_fresh_ring_does_not_recurse():
