@@ -11,7 +11,6 @@ from .closed import (
     hilbert_closed,
     poincare_k_over_so,
     poincare_over_S,
-    positive_part,
     projective_dimension,
     roos_series,
 )
@@ -29,7 +28,7 @@ from .exterior import (
 )
 from .fields import GF, QQ, Field, InvalidFieldError, parse_field
 from .ideals import RepFamily, family, generators, sp_relabeled_generators
-from .linalg import InvalidInputError, LinearMap, rank
+from .linalg import InvalidInputError
 from .monomials import monomial_basis
 from .oracle import depth_zero_witness, hilbert_oracle, socle, tor_over_S
 from .pieces import quotient_dimension
@@ -41,23 +40,22 @@ from .verdicts import (
     aci_obstruction,
     quadratic_monomial_certificate,
     serre_linear_strand_certificate,
-    top_degree_obstruction,
     verdict,
 )
 
 __all__ = [
     "BettiTable", "Field", "GF", "InvalidFieldError",
-    "InvalidInputError", "KoszulVerdict", "LinearMap", "Polynomial", "QQ",
+    "InvalidInputError", "KoszulVerdict", "Polynomial", "QQ",
     "RepFamily", "TruncatedSeries", "aci_obstruction", "betti_closed",
     "catalan", "catalan_strand_identity", "catalan_triangle",
     "depth_zero_witness", "euler_check", "exterior_mult_rank", "family",
     "froberg_product", "generators", "gl_ext_module_candidates",
     "hilbert_closed", "hilbert_oracle",
     "monomial_basis", "parse_field", "poincare_k_over_so",
-    "poincare_over_S", "positive_part", "projective_dimension",
-    "quadratic_monomial_certificate", "quotient_dimension", "rank",
+    "poincare_over_S", "projective_dimension",
+    "quadratic_monomial_certificate", "quotient_dimension",
     "resolve_k_over_quotient", "roos_series", "segner_check",
     "serre_linear_strand_certificate", "socle", "sp_relabeled_generators",
-    "symmetric_identity_check", "top_degree_obstruction", "tor_over_S",
+    "symmetric_identity_check", "tor_over_S",
     "triangle_moment_check", "verdict",
 ]

@@ -25,10 +25,6 @@ ST = ("s", "t")
 STU = ("s", "t", "u")
 
 
-def positive_part(h: TruncatedSeries) -> TruncatedSeries:
-    return h.positive_part()
-
-
 def projective_dimension(f: RepFamily) -> int:
     """Largest homological degree carrying a Betti number of the quotient."""
     n = f.n

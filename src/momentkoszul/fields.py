@@ -84,12 +84,6 @@ class Field:
             return num * pow(den, self.p - 2, self.p) % self.p
         return a % self.p
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def inv(self, a):
         if self.p is None:
             return _rational(1 / Fraction(a))

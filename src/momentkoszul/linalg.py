@@ -21,8 +21,6 @@ plain int arithmetic with no method call per scalar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fields import QQ, Field
 
 
@@ -197,29 +195,3 @@ def kernel_of_columns(columns, fld: Field = QQ) -> list[dict]:
             kernel[f][piv] = -x if p is None else p - x
     return list(kernel.values())
 
-
-@dataclass
-class LinearMap:
-    """Dense exact matrix between two graded pieces (small, API-level maps)."""
-
-    rows: int
-    cols: int
-    entries: list  # list of row lists, field elements
-    field: Field = QQ
-    domain: object = None
-    codomain: object = None
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise InvalidInputError("matrix shape mismatch")
-
-    def rank(self) -> int:
-        of = self.field.of
-        vectors = [{j: y for j, x in enumerate(row) if (y := of(x))}
-                   for row in self.entries]
-        return rank_of_vectors(vectors, self.field)
-
-
-def rank(m: LinearMap) -> int:
-    """Exact rank of a dense map."""
-    return m.rank()

@@ -44,6 +44,13 @@ Betti numbers are read only after every differential of v is checked: a
 corrupted differential fails as ``d.d != 0`` before a Betti number is
 derived from a cleared rank, and at most one differential's columns are
 held at a time.
+
+The socle of S/I in degree v is the kernel of the top differential d_N,
+N = ``ring.nvars``, in bidegree v + (num_p, num_q), where K_N is (S/I)_v
+itself.  ``socle`` and ``depth_zero_witness`` read it from one scan,
+``_top_kernels``, which yields each kernel basis in turn and releases its
+differential: ``socle`` counts the vectors, and the witness is the first
+vector of the first nonzero kernel.
 """
 
 from __future__ import annotations
@@ -97,27 +104,6 @@ def _exterior_table(nvars: int, num_p: int, i: int) -> _ExteriorTable:
                           {e: tuple(sorted(ab)) for e, ab in pairs.items()})
 
 
-class ChainPiece:
-    """One bidegree of the complex: labelled basis and sparse differential.
-
-    ``basis_pairs[k]`` is the (exterior monomial, quotient basis monomial)
-    pair behind column k of ``columns``; each column is a sparse vector over
-    the basis of the piece one homological degree down.
-    """
-
-    __slots__ = ("i", "bidegree", "basis_pairs", "columns")
-
-    def __init__(self, i, bidegree, basis_pairs, columns):
-        self.i = i
-        self.bidegree = bidegree
-        self.basis_pairs = basis_pairs
-        self.columns = columns
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis_pairs)
-
-
 class KoszulOracle:
     """Chain bases, differentials and ranks of the complex over one ring.
 
@@ -136,7 +122,6 @@ class KoszulOracle:
         self._basis: dict[tuple[int, BiDegree], list] = {}
         self._cols: dict[tuple[int, BiDegree], list] = {}
         self._cleared: dict[tuple[int, BiDegree], set[int]] = {}
-        self._dd_done: set[tuple[int, BiDegree]] = set()
 
     def basis(self, i: int, v: BiDegree):
         """Blocks (eps, dim) of the degree-(i, v) piece, plus index offsets."""
@@ -257,9 +242,8 @@ class KoszulOracle:
         i = 1 (where d_0 = 0) checks the assembly alone.
         """
         ring = self.ring
-        if i < 1 or i > ring.nvars or (i, v) in self._dd_done:
+        if i < 1 or i > ring.nvars:
             return
-        self._dd_done.add((i, v))
         fail = AssertionError(f"d.d != 0 at i={i}, v={v}")
         p = ring.field.p
         cols = self.columns(i, v)
@@ -298,15 +282,6 @@ class KoszulOracle:
         if b < 0:
             raise AssertionError((i, v, dim))
         return b
-
-    def chain_piece(self, i: int, v: BiDegree) -> ChainPiece:
-        """The labelled (i, v) piece with its differential, for inspection."""
-        ring = self.ring
-        pairs = []
-        for eps, w, _, d in self.basis(i, v)[0]:
-            for pos in range(d):
-                pairs.append((eps, ring.monomial_label(w, pos)))
-        return ChainPiece(i, v, pairs, self.columns(i, v))
 
 
 def _bounded_workers(workers: int) -> int:
@@ -440,6 +415,26 @@ def hilbert_oracle(f: RepFamily, order: int, fld: Field = QQ) -> TruncatedSeries
     return TruncatedSeries.make(("s", "t"), order, coeffs)
 
 
+def _top_kernels(ring: QuotientRing, max_total_degree: int):
+    """``(v, kernel basis)`` of the top Koszul differential for each nonzero
+    (S/I)_v with 0 < total(v) <= ``max_total_degree``, lazily, in
+    ``bidegrees_up_to_total`` order.
+
+    K_N, N = ``ring.nvars``, has one block in bidegree v + (num_p, num_q):
+    (S/I)_v itself.  The kernel of d_N there is the annihilator of all the
+    variables in (S/I)_v, in its quotient coordinates.  Each differential
+    is released once its kernel is read.
+    """
+    oracle = KoszulOracle(ring)
+    for v in bidegrees_up_to_total(max_total_degree):
+        if v == (0, 0) or not ring.dim(v):
+            continue
+        top = (v[0] + ring.num_p, v[1] + ring.num_q)
+        kernel = kernel_of_columns(oracle.columns(ring.nvars, top), ring.field)
+        oracle.release(ring.nvars, top)
+        yield v, kernel
+
+
 def socle(f: RepFamily, max_total_degree: int, fld: Field = QQ) -> dict[BiDegree, int]:
     """Dimension, per bidegree v, of the annihilator of all the variables.
 
@@ -448,36 +443,22 @@ def socle(f: RepFamily, max_total_degree: int, fld: Field = QQ) -> dict[BiDegree
     Tor_N^S(S/I, k) in bidegree v + (num_p, num_q).
     """
     ring = ring_for_family(f, fld)
-    oracle = KoszulOracle(ring)
-    out = {}
-    for v in bidegrees_up_to_total(max_total_degree):
-        if v == (0, 0):
-            continue
-        k = oracle.betti(ring.nvars, (v[0] + ring.num_p, v[1] + ring.num_q))
-        if k:
-            out[v] = k
-    return out
+    return {v: len(kernel) for v, kernel in _top_kernels(ring, max_total_degree)
+            if kernel}
 
 
 def depth_zero_witness(f: RepFamily, fld: Field = QQ,
                        max_total_degree: int = 4) -> tuple[BiDegree, str] | None:
-    """A nonzero low-degree socle element (witnessing depth zero), if any."""
+    """A nonzero low-degree socle element (witnessing depth zero), if any:
+    the first kernel vector of ``_top_kernels``, as a polynomial."""
     ring = ring_for_family(f, fld)
-    oracle = KoszulOracle(ring)
     names = variable_names(ring.num_p, ring.num_q, f.doubled_names)
-    for v in bidegrees_up_to_total(max_total_degree):
-        if v == (0, 0) or ring.dim(v) == 0:
-            continue
-        # the one block of K_N in this bidegree is (S/I)_v itself
-        top = (v[0] + ring.num_p, v[1] + ring.num_q)
-        kernel = kernel_of_columns(oracle.columns(ring.nvars, top), fld)
+    for v, kernel in _top_kernels(ring, max_total_degree):
         if kernel:
-            combo = kernel[0]
+            basis = ring.piece(v).basis
             parts = []
-            for pos in sorted(combo):
-                mono = ring.monomial_label(v, pos)
-                c = combo[pos]
-                parts.append(format_monomial(mono, names) if c == 1
-                             else f"{c}*{format_monomial(mono, names)}")
+            for pos, c in sorted(kernel[0].items()):
+                mono = format_monomial(basis[pos], names)
+                parts.append(mono if c == 1 else f"{c}*{mono}")
             return v, " + ".join(parts)
     return None

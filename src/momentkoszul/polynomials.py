@@ -82,12 +82,6 @@ class Polynomial:
                 acc[m] = acc.get(m, Fraction(0)) + c1 * c2
         return Polynomial.from_dict(self.num_p, self.num_q, acc)
 
-    def scaled(self, c) -> "Polynomial":
-        c = Fraction(c)
-        if c == 0:
-            return Polynomial(self.num_p, self.num_q, ())
-        return Polynomial(self.num_p, self.num_q, tuple((m, c * x) for m, x in self.terms))
-
     def __str__(self) -> str:
         return format_polynomial(self)
 

@@ -154,10 +154,6 @@ class QuotientRing:
             out.append(acc)
         return out
 
-    def monomial_label(self, v: BiDegree, position: int) -> tuple:
-        """The standard monomial at a quotient coordinate."""
-        return self.piece(v).basis[position]
-
 
 def _rings(fld: Field, *generator_lists) -> list[QuotientRing]:
     """One ring per generator list and one for their union, over the ambient

@@ -41,10 +41,6 @@ class TruncatedSeries:
         return TruncatedSeries(variables, order, coeffs)
 
     @staticmethod
-    def zero(variables, order: int) -> "TruncatedSeries":
-        return TruncatedSeries.make(variables, order, {})
-
-    @staticmethod
     def one(variables, order: int) -> "TruncatedSeries":
         variables = tuple(variables)
         return TruncatedSeries.make(variables, order, {(0,) * len(variables): 1})
@@ -90,11 +86,6 @@ class TruncatedSeries:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 acc[e] = acc.get(e, 0) + c1 * c2
         return TruncatedSeries.make(self.variables, order, acc)
-
-    def scaled(self, c: int) -> "TruncatedSeries":
-        return TruncatedSeries.make(
-            self.variables, self.order, {e: c * x for e, x in self.coefficients.items()}
-        )
 
     def power(self, k: int) -> "TruncatedSeries":
         if k < 0:

@@ -120,12 +120,19 @@ def resolution_jump(f: RepFamily, fld: Field = QQ,
     return None, table.boundary_hits
 
 
-def top_degree_obstruction(f: RepFamily, fld: Field = QQ,
-                           max_i: int | None = None,
-                           max_total_degree: int | None = None):
-    """First homological degree where the residue-field resolution jumps:
-    returns (i, top_i) with top_i > i, or None inside the window."""
-    return resolution_jump(f, fld, max_i, max_total_degree)[0]
+def _diagonal_inequality(table: BettiTable, decisive: bool) -> Evidence | None:
+    """The first violation of the diagonal inequality in ``table`` as
+    evidence, or None.  A decisive violation fails the family; otherwise it
+    is informational, for a family that another obstruction decides."""
+    violated, first = aci_obstruction(table)
+    if not violated:
+        return None
+    i, lhs, rhs = first
+    return Evidence(
+        "diagonal-inequality-obstruction",
+        f"beta_{i} in total degree {2 * i} is {lhs} > C(beta_1, {i}) = {rhs}",
+        False if decisive else None,
+    )
 
 
 def verdict(f: RepFamily, fld: Field = QQ) -> KoszulVerdict:
@@ -172,14 +179,9 @@ def verdict(f: RepFamily, fld: Field = QQ) -> KoszulVerdict:
         return KoszulVerdict(name, n, "undetermined", ev)
 
     if f.kind is FamilyKind.SP:
-        violated, first = aci_obstruction(table)
-        if violated:
-            i, lhs, rhs = first
-            ev.append(Evidence(
-                "diagonal-inequality-obstruction",
-                f"beta_{i} in total degree {2 * i} is {lhs} > C(beta_1, {i}) = {rhs}",
-                False,
-            ))
+        diagonal = _diagonal_inequality(table, decisive=True)
+        if diagonal:
+            ev.append(diagonal)
             return KoszulVerdict(name, n, "not-koszul", ev)
         ev.append(Evidence(
             "diagonal-inequality-obstruction",
@@ -189,14 +191,9 @@ def verdict(f: RepFamily, fld: Field = QQ) -> KoszulVerdict:
         return KoszulVerdict(name, n, "undetermined", ev)
 
     if f.kind is FamilyKind.SL:
-        violated, first = aci_obstruction(table)
-        if violated:
-            i, lhs, rhs = first
-            ev.append(Evidence(
-                "diagonal-inequality-obstruction",
-                f"beta_{i} in total degree {2 * i} is {lhs} > C(beta_1, {i}) = {rhs}",
-                None,
-            ))
+        diagonal = _diagonal_inequality(table, decisive=False)
+        if diagonal:
+            ev.append(diagonal)
         if n <= 3:
             jump, hits = resolution_jump(f, fld)
             if jump is not None:

@@ -35,9 +35,11 @@ def deadline(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
-def brute_rank(rows) -> int:
-    """Dense Gaussian elimination over exact rationals."""
-    m = [[Fraction(x) for x in row] for row in rows]
+def brute_rank(rows, p: int | None = None) -> int:
+    """Dense Gaussian elimination over exact rationals, or over F_p when
+    ``p`` is set."""
+    red = Fraction if p is None else (lambda x: x % p)
+    m = [[red(x) for x in row] for row in rows]
     rank = 0
     cols = len(m[0]) if m else 0
     row = 0
@@ -50,12 +52,12 @@ def brute_rank(rows) -> int:
         if piv is None:
             continue
         m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
+        inv = 1 / m[row][col] if p is None else pow(m[row][col], -1, p)
+        m[row] = [red(x * inv) for x in m[row]]
         for r in range(len(m)):
             if r != row and m[r][col] != 0:
                 f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
+                m[r] = [red(a - f * b) for a, b in zip(m[r], m[row])]
         rank += 1
         row += 1
     return rank

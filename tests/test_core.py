@@ -269,3 +269,15 @@ def test_integrity_checks_survive_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "refused ()", "refused ((2, 1, 3, -9900),)", "refused ()", "refused ()"]
+
+
+def test_every_export_resolves_once():
+    import momentkoszul
+
+    names = momentkoszul.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(momentkoszul, name)]
+    assert not missing
+    retired = {"LinearMap", "rank", "positive_part", "top_degree_obstruction"}
+    assert not retired & set(names)
+    assert not [name for name in retired if hasattr(momentkoszul, name)]

@@ -8,7 +8,6 @@ from momentkoszul.exterior import (
     symmetric_identity_check,
 )
 from momentkoszul.fields import GF, QQ, InvalidFieldError
-from momentkoszul.linalg import LinearMap
 
 from helpers import brute_rank, wedge_matrix_for_pair_form
 
@@ -27,15 +26,6 @@ def test_rank_n3_middle():
     matrix = wedge_matrix_for_pair_form(3, 2)
     assert brute_rank(matrix) == 15
     assert exterior_mult_rank(3, 2) == (15, True)
-
-
-def test_rank_equals_api_level_dense_rank():
-    from fractions import Fraction
-
-    matrix = wedge_matrix_for_pair_form(2, 0)
-    m = LinearMap(len(matrix), len(matrix[0]),
-                  [[Fraction(x) for x in row] for row in matrix])
-    assert m.rank() == exterior_mult_rank(2, 0)[0]
 
 
 def test_maximal_rank_all_small_n_all_fields():
@@ -80,12 +70,3 @@ def test_ext_module_candidate_resolution():
             assert data["first_diagonal_mismatch"][0] == (1, 1)
         both = gl_ext_module_candidates(1, fld)
         assert both["full_matches"] and both["diagonal_matches"]
-
-
-def test_middle_map_through_public_rank_op():
-    from fractions import Fraction
-
-    matrix = wedge_matrix_for_pair_form(2, 1)
-    m = LinearMap(len(matrix), len(matrix[0]),
-                  [[Fraction(x) for x in row] for row in matrix])
-    assert m.rank() == 4

@@ -30,8 +30,14 @@ from momentkoszul.oracle import (
     tor_over_S,
 )
 from momentkoszul.quotient import QuotientRing, ring_for_family
+from momentkoszul.verify import ORACLE_RANGE
 
-from helpers import column_with_a_flipped_sign, direct_dd, series_coeffs_one_var
+from helpers import (
+    brute_rank,
+    column_with_a_flipped_sign,
+    direct_dd,
+    series_coeffs_one_var,
+)
 
 
 def test_tor_hypersurface():
@@ -96,6 +102,28 @@ def test_socle_sl2_contains_the_mixed_class():
 
 def test_socle_gl2_vanishes():
     assert socle(family("gl", 2), 4) == {}
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(32003)], ids=str)
+@pytest.mark.parametrize("kind,n", ORACLE_RANGE)
+def test_socle_equals_the_dense_annihilator(kind, n, fld):
+    # dim (S/I)_v minus the rank of v's multiplication maps stacked densely
+    ring = ring_for_family(family(kind, n), fld)
+    expected = {}
+    for v in bidegrees_up_to_total(4):
+        if v == (0, 0) or not ring.dim(v):
+            continue
+        maps = [ring.mult_by_var(x, v) for x in range(ring.nvars)]
+        sizes = [ring.dim((v[0] + a, v[1] + b))
+                 for a, b in map(ring.var_bidegree, range(ring.nvars))]
+        rows = []  # row k: x times the k-th basis monomial, for every x
+        for k in range(ring.dim(v)):
+            rows.append([cols[k].get(j, 0)
+                         for cols, size in zip(maps, sizes) for j in range(size)])
+        kernel = ring.dim(v) - brute_rank(rows, fld.p)
+        if kernel:
+            expected[v] = kernel
+    assert socle(family(kind, n), 4, fld) == expected
 
 
 def test_depth_witnesses():
@@ -547,17 +575,6 @@ def test_pool_keeps_scan_order_and_boundary_hits():
     b = tor_over_S(f, max_total_degree=2, workers=2)
     assert list(a.entries.items()) == list(b.entries.items())
     assert a.boundary_hits == b.boundary_hits == [(1, (1, 1))]
-
-
-def test_chain_piece_exposes_labelled_basis():
-    oracle = KoszulOracle(ring_for_family(family("gl", 1)))
-    piece = oracle.chain_piece(1, (1, 1))
-    # two exterior generators can carry bidegree (1,1) here: e (on p) with a
-    # q-monomial, and f (on q) with a p-monomial
-    assert piece.dimension == 2
-    assert len(piece.columns) == 2
-    eps_seen = {eps for eps, _ in piece.basis_pairs}
-    assert eps_seen == {(0,), (1,)}
 
 
 def test_negative_betti_number_raises(monkeypatch):

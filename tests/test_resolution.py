@@ -91,8 +91,7 @@ def test_quotient_basis_is_closed_under_division(kind, n):
     # the resolution builds the column of m from that of m/x
     ring = ring_for_family(family(kind, n))
     for v in bidegrees_up_to_total(5):
-        for inner in range(ring.dim(v)):
-            mono = ring.monomial_label(v, inner)
+        for mono in ring.piece(v).basis:
             for x, e in enumerate(mono):
                 if not e:
                     continue

@@ -5,8 +5,8 @@ from momentkoszul.ideals import family, generators
 from momentkoszul.verdicts import (
     aci_obstruction,
     quadratic_monomial_certificate,
+    resolution_jump,
     serre_linear_strand_certificate,
-    top_degree_obstruction,
     verdict,
 )
 
@@ -56,14 +56,14 @@ def test_serre_prefix_is_n_minus_1_for_sl():
 
 
 def test_top_degree_obstruction_examples():
-    assert top_degree_obstruction(family("sl", 2)) == (3, 4)
-    assert top_degree_obstruction(family("gl", 2), max_i=5, max_total_degree=6) is None
-    assert top_degree_obstruction(family("so", 2), max_i=5, max_total_degree=6) is None
+    assert resolution_jump(family("sl", 2))[0] == (3, 4)
+    assert resolution_jump(family("gl", 2), max_i=5, max_total_degree=6)[0] is None
+    assert resolution_jump(family("so", 2), max_i=5, max_total_degree=6)[0] is None
 
 
 def test_top_degree_obstruction_sl3():
     # confirms the jump top_{n+1} = n+2 at n = 3 as well
-    assert top_degree_obstruction(family("sl", 3)) == (4, 5)
+    assert resolution_jump(family("sl", 3))[0] == (4, 5)
 
 
 def test_verdicts_match_the_main_theorem():
