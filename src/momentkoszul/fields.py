@@ -112,5 +112,10 @@ def parse_field(text: str) -> Field:
     if t in ("qq", "q", "rational", "rationals"):
         return QQ
     if t.startswith("fp:"):
-        return GF(int(t[3:]))
+        try:
+            modulus = int(t[3:])
+        except ValueError:
+            raise InvalidFieldError(
+                f"modulus of field spec {text!r} is not an integer") from None
+        return GF(modulus)
     raise InvalidFieldError(f"unrecognized field spec {text!r} (use 'qq' or 'fp:P')")

@@ -9,18 +9,32 @@ generators of F_s and builds the kernel of d_s.  The generators of degree v
 span a complement of (m.K)_v in K_v, where K is the kernel of d_{s-1}:
 
 1. The columns of d_s in degree v of the generators below v are built; they
-   span (m.K)_v, because the generators below v generate K there.  They are
-   inserted into an echelon form until it fills K_v (they lie inside K_v).
-2. The basis vectors of K_v, sparsest first (a stable sort, so the choice
-   is deterministic), are added while they leave the span; each one that
-   does becomes a generator, until the span is K_v.
-3. The generators' own columns are appended, and the kernel of d_s in
-   degree v is read off the reduced row-echelon form of all the columns.
-   K_v of d_{s-1} is dropped once read.
+   span (m.K)_v, because the generators below v generate K there.  Their
+   kernel is read off the reduced row-echelon form of the columns, and their
+   rank is the number of columns minus the number of kernel vectors.
+2. The columns lie in K_v, so a rank above dim K_v raises ``AssertionError``
+   naming the step and degree, even under ``python -O``.  A rank equal to
+   dim K_v means no generator: the kernel of step 1 is the kernel of d_s in
+   degree v, and no other elimination runs.
+3. Otherwise the columns are inserted into an echelon form until it reaches
+   their rank, and the basis vectors of K_v, sparsest first (a stable sort,
+   so the choice is deterministic), are added while they leave the span;
+   each one that does becomes a generator, until the span is K_v.  The
+   generators' own columns are appended, and the kernel of d_s in degree v
+   is read off all the columns.
+K_v of d_{s-1} is dropped once read.
 
 The last step builds no kernel, so it does not build the columns of d_s:
 there (m.K)_v is spanned by the variable multiples x.K_{v - deg x}, built
-only until they fill K_v.
+only until they fill K_v.  Most of them are redundant, so the step keeps a
+basis of each K_u whose vectors carry a label: the variable y of a product
+y.b that grew the span of K_u, or ``nvars`` for a chosen vector.  In degree
+v, stage x (variables in index order) multiplies by x only the vectors of
+K_{v - deg x} labelled x or higher, Janet's multiplicative variables.  The
+others add nothing: x.(y.b) = y.(x.b) with x.b in K (a submodule), which
+stage y < x spanned already.  So the span, and the chosen vectors, are
+those of all the multiples.  The basis of degree u is dropped with the
+columns of degree u, below.
 
 The column of (generator h, quotient basis monomial m) is h's presentation
 for m = 1, and for m != 1 x times the column of (h, m/x), where x is the
@@ -34,9 +48,12 @@ Minimality (no unit entry in any presentation) is checked on every chosen
 vector and raises ``AssertionError`` even under ``python -O``.  That covers
 all of K_v: K_v = (m.K)_v + span(chosen), and no element of (m.K)_v has an
 entry at a generator of degree v, so an element of K_v with such an entry
-forces one on some chosen vector.  The chosen vectors are read off the
-kernel's elimination and the span is a second elimination, of the columns,
-so the check cross-checks the two.
+forces one on some chosen vector.  Neither shortcut above changes (m.K)_v:
+the rank-first step only skips the span when (m.K)_v = K_v, where nothing
+is chosen, and the multiplicative variables span all of the multiples.  The
+chosen vectors are read off the kernel's elimination and the span is a
+second elimination, of the columns, so the check cross-checks the two; where
+the span is skipped, the rank check compares the two eliminations instead.
 
 Generators above the configured degree bound are invisible, but they cannot
 influence Betti numbers inside the bound, so the reported window is exact.
@@ -169,26 +186,28 @@ def _lower_columns(ring: QuotientRing, module: _Module, next_module: _Module,
     return columns
 
 
-def _complement(kvecs: list[dict], span_vectors, owners: list, p: int | None,
-                step: int, v: BiDegree) -> list[dict]:
+def _column_span(columns: list[dict], rank: int, p: int | None) -> Echelon:
+    """An echelon form of the span of ``columns``, of dimension ``rank``:
+    the columns after the one that reaches it are not inserted."""
+    span = Echelon(p)
+    for col in columns:
+        if span.dimension == rank:
+            break
+        span.insert(col)
+    return span
+
+
+def _complement(kvecs: list[dict], span: Echelon, owners: list, step: int,
+                v: BiDegree) -> list[dict]:
     """The vectors of the basis ``kvecs`` of K_v, sparsest first, that leave
-    the span of ``span_vectors`` (spanning (m.K)_v) and of those before them.
+    ``span`` (an echelon form of (m.K)_v) grown by those before them.
 
     Raises ``AssertionError`` on a chosen vector with an entry at a
     generator of degree v (``owners`` is the basis of degree v).
     """
-    dim = len(kvecs)
     chosen = []
-    if not dim:
-        return chosen
-    # (m.K)_v lies inside K_v: stop once it fills K_v
-    span = Echelon(p)
-    for vec in span_vectors:
-        span.insert(vec)
-        if span.dimension == dim:
-            return chosen
     for kv in sorted(kvecs, key=len):
-        if span.dimension == dim:
+        if span.dimension == len(kvecs):
             break
         if not span.insert(kv):
             continue
@@ -198,6 +217,32 @@ def _complement(kvecs: list[dict], span_vectors, owners: list, p: int | None,
                     f"unit entry in presentation at step {step}, degree {v}")
         chosen.append(kv)
     return chosen
+
+
+def _variable_span(module: _Module, basis: dict, v: BiDegree, dim: int,
+                   p: int | None) -> tuple[Echelon, list[tuple[dict, int]]]:
+    """An echelon form of (m.K)_v, stopped once it fills K_v (``dim``), and
+    the products that grew it, each labelled with its variable.
+
+    ``basis[u]`` is a basis of K_u of labelled vectors: a product y.b
+    carries its variable y, a chosen generator ``ring.nvars``.  Stage x
+    inserts x.b for b in ``basis[v - deg x]`` with label >= x only: for a
+    label y < x, x.(y.b) = y.(x.b) lies in y.K_{v - deg y}, which stage y
+    spanned.
+    """
+    ring = module.ring
+    span = Echelon(p)
+    grown = []
+    for x in range(ring.nvars):
+        u = sub_bidegrees(v, ring.var_bidegree(x))
+        for b, label in basis.get(u, ()):
+            if span.dimension == dim:
+                return span, grown
+            if label >= x:
+                vec = module.multiply_by_var(x, u, b)
+                if span.insert(vec):
+                    grown.append((vec, x))
+    return span, grown
 
 
 def resolve_k_over_quotient(f: RepFamily, max_i: int, max_total_degree: int,
@@ -231,34 +276,47 @@ def resolve_k_over_quotient(f: RepFamily, max_i: int, max_total_degree: int,
         # columns of d_step per degree, in next_module's basis order
         built: dict[BiDegree, list[dict]] = {}
         next_kernels: dict[BiDegree, list[dict]] = {}
+        # last step: labelled basis of K_u per degree, for _variable_span
+        basis: dict[BiDegree, list[tuple[dict, int]]] = {}
         for v in bidegs:
+            kvecs = kernels.pop(v, [])
+            owners = module.blocks(v)[1]
             if last:
                 # no next kernel to build: (m.K)_v is spanned by the
                 # variable multiples x.K_{v - deg x}
-                span_vectors = (
-                    module.multiply_by_var(x, u, kv)
-                    for x in range(ring.nvars)
-                    for u in [sub_bidegrees(v, ring.var_bidegree(x))]
-                    for kv in kernels.get(u, []))
+                span, grown = _variable_span(module, basis, v, len(kvecs),
+                                             fld.p)
+                chosen = _complement(kvecs, span, owners, step, v)
+                if total(v) < max_total_degree:
+                    basis[v] = grown + [(kv, ring.nvars) for kv in chosen]
             else:
-                span_vectors = columns = _lower_columns(
-                    ring, module, next_module, built, v, divisions)
-            # K_v is read once, but for the variable multiples of the last step
-            chosen = _complement(
-                kernels.get(v, []) if last else kernels.pop(v, []),
-                span_vectors, module.blocks(v)[1], fld.p, step, v)
+                columns = _lower_columns(ring, module, next_module, built, v,
+                                         divisions)
+                kernel = kernel_of_columns(columns, fld) if columns else []
+                rank = len(columns) - len(kernel)
+                if rank > len(kvecs):
+                    raise AssertionError(
+                        f"columns of rank {rank} in a kernel of dimension "
+                        f"{len(kvecs)} at step {step}, degree {v}")
+                chosen = []
+                if rank < len(kvecs):
+                    # read again below, with the generators' columns
+                    del kernel
+                    chosen = _complement(kvecs,
+                                         _column_span(columns, rank, fld.p),
+                                         owners, step, v)
+                    next_module.add_generators(v, len(chosen))
+                    columns += chosen
+                    kernel = kernel_of_columns(columns, fld)
+                if columns:
+                    next_kernels[v] = kernel
+                    if total(v) < max_total_degree:
+                        built[v] = columns
             if chosen:
                 counts[v] = len(chosen)
-            if last:
-                continue
-            next_module.add_generators(v, len(chosen))
-            columns += chosen
-            if columns:
-                next_kernels[v] = kernel_of_columns(columns, fld)
-                if total(v) < max_total_degree:
-                    built[v] = columns
             # degree u is read at u + (1, 0) and, last, at u + (0, 1) = v
             built.pop((v[0], v[1] - 1), None)
+            basis.pop((v[0], v[1] - 1), None)
         for v in sorted(counts):
             entries[(step, v)] = counts[v]
             if total(v) == max_total_degree:

@@ -231,3 +231,17 @@ def echelon_equal(a, b, degrees, fld) -> bool:
     """Per-degree reference for ``pieces_equal``: equal canonical rows."""
     return all(echelon_piece(a, v, fld).canonical_rows()
                == echelon_piece(b, v, fld).canonical_rows() for v in degrees)
+
+
+def dropped_kernel_vector(real):
+    """A ``kernel_of_columns`` that loses the last vector of the first
+    nonempty kernel it returns, so that its columns seem one rank higher."""
+    done = []
+
+    def kernel(columns, fld):
+        out = real(columns, fld)
+        if not done and out:
+            done.append(out.pop())
+        return out
+
+    return kernel

@@ -127,6 +127,13 @@ def test_betti_negative_max_i_exits_2_before_any_work(capsys, monkeypatch, sourc
     assert "--max-i must be at least 0, got -1" in err
 
 
+def test_a_modulus_that_is_not_an_integer_exits_2(capsys):
+    code, out, err = run(capsys, "betti", "--family", "gl", "--n", "1",
+                         "--source", "closed", "--field", "fp:abc")
+    assert code == 2 and not out
+    assert err == "error: modulus of field spec 'fp:abc' is not an integer\n"
+
+
 def test_moduli_from_two_to_the_64_exit_2(capsys):
     for p in (2 ** 64, 2 ** 89 - 1):
         code, _, err = run(capsys, "betti", "--family", "gl", "--n", "1",

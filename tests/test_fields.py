@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from momentkoszul.fields import GF, QQ, InvalidFieldError, _is_prime
+from momentkoszul.fields import GF, QQ, InvalidFieldError, _is_prime, parse_field
 
 
 def _trial_division(p: int) -> bool:
@@ -44,3 +44,10 @@ def test_rationals_are_plain_ints_when_integral():
     assert type(QQ.of(Fraction(6, 3))) is int
     assert type(QQ.inv(-1)) is int
     assert QQ.of(Fraction(1, 2)) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("spec", ["fp:abc", "fp:", "FP:7.5"])
+def test_a_modulus_that_is_not_an_integer_names_the_spec(spec):
+    with pytest.raises(InvalidFieldError,
+                       match=f"modulus of field spec '{spec}' is not an integer"):
+        parse_field(spec)

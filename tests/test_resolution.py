@@ -22,7 +22,11 @@ from momentkoszul.quotient import ring_for_family
 from momentkoszul.resolution import resolve_k_over_quotient
 from momentkoszul.verify import table_poincare_totals
 
-from helpers import series_coeffs_one_var, unit_entry_kernel
+from helpers import (
+    dropped_kernel_vector,
+    series_coeffs_one_var,
+    unit_entry_kernel,
+)
 
 
 def test_gl1_residue_field_resolution():
@@ -259,3 +263,81 @@ def test_minimality_check_survives_python_O():
     assert proc.returncode == 1
     assert ("AssertionError: unit entry in presentation at step 4, "
             "degree (3, 1)") in proc.stderr
+
+
+def test_resolution_wastes_few_eliminations_on_sp2(monkeypatch):
+    # the last step multiplies only by multiplicative variables, and a
+    # middle step with no new generator takes K_v off the kernel of its
+    # columns: 28,745 failed inserts and 44,314 products before
+    real_insert = resolution.Echelon.insert
+    real_multiply = resolution._Module.multiply_by_var
+    failed, products = [], []
+
+    def counted_insert(self, vec):
+        grew = real_insert(self, vec)
+        if not grew:
+            failed.append(1)
+        return grew
+
+    def counted_multiply(self, x, v, vec):
+        products.append(1)
+        return real_multiply(self, x, v, vec)
+
+    monkeypatch.setattr(resolution.Echelon, "insert", counted_insert)
+    monkeypatch.setattr(resolution._Module, "multiply_by_var",
+                        counted_multiply)
+    resolve_k_over_quotient(family("sp", 2), 4, 6)
+    assert len(failed) <= 18_000, f"{len(failed)} failed inserts"
+    assert len(products) <= 40_000, f"{len(products)} multiply_by_var calls"
+
+
+#: (kind, n, max_total_degree) of the windows whose steps are resolved both
+#: as the last step and as a middle step.
+STEP_ROUTES = (("gl", 2, 6), ("sl", 2, 6), ("sl", 3, 6), ("so", 3, 6),
+               ("sp", 2, 5))
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("kind,n,max_total", STEP_ROUTES,
+                         ids=[f"{k}_{n}" for k, n, _ in STEP_ROUTES])
+def test_last_and_middle_steps_agree(kind, n, max_total, field):
+    # step i is the last step of the window max_i = i and a middle step of
+    # max_i = i + 1; both must give the same generators
+    tables = [resolve_k_over_quotient(family(kind, n), i, max_total,
+                                      FIELDS[field]) for i in range(6)]
+    for i, (short, long) in enumerate(zip(tables, tables[1:])):
+        assert short.entries == {key: c for key, c in long.entries.items()
+                                 if key[0] <= i}, i
+        assert short.boundary_hits == [hit for hit in long.boundary_hits
+                                       if hit[0] <= i], i
+
+
+def test_rank_check_catches_columns_outside_the_kernel(monkeypatch):
+    # sl_2 at step 1, degree (2, 0): the four products p_i.p_j of the
+    # generators in degree (1, 0) span R_(2,0) of dimension 3, with one
+    # relation; losing it makes the columns seem of rank 4
+    monkeypatch.setattr(resolution, "kernel_of_columns",
+                        dropped_kernel_vector(resolution.kernel_of_columns))
+    with pytest.raises(AssertionError,
+                       match=r"columns of rank 4 in a kernel of dimension 3 "
+                             r"at step 1, degree \(2, 0\)"):
+        resolve_k_over_quotient(family("sl", 2), 3, 5)
+
+
+def test_rank_check_survives_python_O():
+    tests = Path(__file__).parent
+    script = (
+        "assert False, 'asserts are on'\n"
+        "import momentkoszul.resolution as r\n"
+        "from momentkoszul.ideals import family\n"
+        "from helpers import dropped_kernel_vector\n"
+        "r.kernel_of_columns = dropped_kernel_vector(r.kernel_of_columns)\n"
+        "r.resolve_k_over_quotient(family('sl', 2), 3, 5)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert ("AssertionError: columns of rank 4 in a kernel of dimension 3 "
+            "at step 1, degree (2, 0)") in proc.stderr
