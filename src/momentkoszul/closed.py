@@ -159,15 +159,13 @@ def froberg_product(P: TruncatedSeries, H: TruncatedSeries, order: int) -> Trunc
 
 # -- Euler characteristic cross-check ---------------------------------------
 
-def euler_check(f: RepFamily, order: int, table: BettiTable | None = None,
-                hilbert: TruncatedSeries | None = None):
+def euler_check(f: RepFamily, order: int, table: BettiTable | None = None):
     """Check H(s,t) * (1-s)^N (1-t)^N == sum (-1)^i beta_{i,v} s^v1 t^v2.
 
     Returns (ok, first_mismatch) where the mismatch is (exponents, lhs, rhs).
     """
     N = f.num_p
-    H = hilbert if hilbert is not None else hilbert_closed(f, order)
-    H = H.restricted_to(order)
+    H = hilbert_closed(f, order)
     ps = TruncatedSeries.make(ST, order, {(k, 0): (-1) ** k * comb(N, k) for k in range(N + 1)})
     pt = TruncatedSeries.make(ST, order, {(0, k): (-1) ** k * comb(N, k) for k in range(N + 1)})
     lhs = H * ps * pt

@@ -1,14 +1,14 @@
 """Sparse bihomogeneous-capable polynomials with exact rational coefficients.
 
-A polynomial stores only its nonzero terms, as ``Monomial -> Fraction``.
-Coefficients stay rational; they are mapped into a finite field only when a
-matrix is assembled.  The ambient is the pair (num_p, num_q).
+A polynomial stores only its nonzero terms, as ``Monomial -> coefficient``,
+each coefficient as given: a plain int (every moment-map generator has
+coefficients +-1) or a ``Fraction``.  Coefficients are mapped into a field
+only when a matrix is assembled.  The ambient is the pair (num_p, num_q).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import InvalidInputError
 from .monomials import BiDegree, Monomial, bidegree_of, multiply_monomials
@@ -18,15 +18,12 @@ from .monomials import BiDegree, Monomial, bidegree_of, multiply_monomials
 class Polynomial:
     num_p: int
     num_q: int
-    terms: tuple[tuple[Monomial, Fraction], ...]  # canonical: descending lex
+    terms: tuple[tuple[Monomial, object], ...]  # canonical: descending lex
 
     @staticmethod
     def from_dict(num_p: int, num_q: int, terms: dict) -> "Polynomial":
         items = tuple(
-            (m, Fraction(c))
-            for m, c in sorted(terms.items(), reverse=True)
-            if c != 0
-        )
+            (m, c) for m, c in sorted(terms.items(), reverse=True) if c != 0)
         return Polynomial(num_p, num_q, items)
 
     @property
@@ -64,7 +61,7 @@ class Polynomial:
         self._same_ambient(other)
         acc = dict(self.terms)
         for m, c in other.terms:
-            acc[m] = acc.get(m, Fraction(0)) + c
+            acc[m] = acc.get(m, 0) + c
         return Polynomial.from_dict(self.num_p, self.num_q, acc)
 
     def __neg__(self) -> "Polynomial":
@@ -75,11 +72,11 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._same_ambient(other)
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, object] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
                 m = multiply_monomials(m1, m2)
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
+                acc[m] = acc.get(m, 0) + c1 * c2
         return Polynomial.from_dict(self.num_p, self.num_q, acc)
 
     def __str__(self) -> str:

@@ -1,12 +1,16 @@
 """Minimal graded free resolution of the residue field over a quotient ring,
 built degree by degree.
 
-State per step: the free module F_s is a list of generator bidegrees; the
-presentation d_s is one column per generator, a sparse vector over the graded
-basis of F_{s-1} in the generator's bidegree.  Step s scans the bidegrees v
-once, in increasing total degree (p-heavy first), and in each v chooses the
-generators of F_s and builds the kernel of d_s.  The generators of degree v
-span a complement of (m.K)_v in K_v, where K is the kernel of d_{s-1}:
+The free module F_s is a list of generator bidegrees; the presentation d_s is
+one column per generator, a sparse vector over the graded basis of F_{s-1} in
+the generator's bidegree.  The bidegrees v are scanned once, in increasing
+total degree (p-heavy first).  In each v, K_v starts as the kernel of the
+augmentation F_0 = S/I -> k, all of (S/I)_v for v != 0, and the steps
+s = 1, ..., max_i run in order: step s chooses the generators of F_s of
+degree v and hands the kernel of d_s in degree v to step s + 1 as the next
+K_v.  Each step keeps its own module and columns from degree to degree, but
+only the current degree's K_v is held.  The generators of degree v span a
+complement of (m.K)_v in K_v, where K is the kernel of d_{s-1}:
 
 1. The columns of d_s in degree v of the generators below v are built; they
    span (m.K)_v, because the generators below v generate K there.  Their
@@ -22,7 +26,6 @@ span a complement of (m.K)_v in K_v, where K is the kernel of d_{s-1}:
    each one that does becomes a generator, until the span is K_v.  The
    generators' own columns are appended, and the kernel of d_s in degree v
    is read off all the columns.
-K_v of d_{s-1} is dropped once read.
 
 The last step builds no kernel, so it does not build the columns of d_s:
 there (m.K)_v is spanned by the variable multiples x.K_{v - deg x}, built
@@ -40,9 +43,9 @@ The column of (generator h, quotient basis monomial m) is h's presentation
 for m = 1, and for m != 1 x times the column of (h, m/x), where x is the
 first variable dividing m.  The quotient basis is the set of standard
 monomials, closed under division, so m/x is a basis monomial one total
-degree lower and its column was built just before.  The columns of a degree
-are dropped once both of their variable multiples are built, and those of
-the top total degree are never kept.
+degree lower and its column was built in an earlier degree.  The columns
+of a degree are dropped once both of their variable multiples are built,
+and those of the top total degree are never kept.
 
 Minimality (no unit entry in any presentation) is checked on every chosen
 vector and raises ``AssertionError`` even under ``python -O``.  That covers
@@ -55,8 +58,10 @@ chosen vectors are read off the kernel's elimination and the span is a
 second elimination, of the columns, so the check cross-checks the two; where
 the span is skipped, the rank check compares the two eliminations instead.
 
-Generators above the configured degree bound are invisible, but they cannot
-influence Betti numbers inside the bound, so the reported window is exact.
+Everything read in degree v lies in degrees componentwise <= v, so
+generators above the bounds cannot influence Betti numbers inside them: the
+table for (max_i, d - 1) is that for (max_i, d) cut to total degree < d, and
+the one for (max_i - 1, d) is that for (max_i, d) cut to i < max_i.
 """
 
 from __future__ import annotations
@@ -254,44 +259,35 @@ def resolve_k_over_quotient(f: RepFamily, max_i: int, max_total_degree: int,
             f"resolution window must be non-negative, got max_i={max_i}, "
             f"max_total_degree={max_total_degree}")
     ring = ring_for_family(f, fld)
-    bidegs = [v for v in bidegrees_up_to_total(max_total_degree)]
     entries = {(0, (0, 0)): 1}
-
-    module = _Module(ring, [(0, 0)])
-    # kernel of the augmentation F_0 = R -> k
-    kernels: dict[BiDegree, list[dict]] = {}
-    for v in bidegs:
-        if v == (0, 0):
-            continue
-        d = ring.dim(v)
-        if d:
-            kernels[v] = [{k: 1} for k in range(d)]
-
-    boundary = []
+    # F_0, ..., F_max_i
+    modules = [_Module(ring, [] if s else [(0, 0)]) for s in range(max_i + 1)]
+    # built[s - 1]: columns of d_s per degree, in modules[s]'s basis order
+    built: list[dict[BiDegree, list[dict]]] = [{} for _ in range(max_i)]
+    # last step: labelled basis of K_u per degree, for _variable_span
+    basis: dict[BiDegree, list[tuple[dict, int]]] = {}
     divisions: dict[BiDegree, list[tuple]] = {}
-    for step in range(1, max_i + 1):
-        last = step == max_i
-        next_module = _Module(ring, [])
-        counts: dict[BiDegree, int] = {}
-        # columns of d_step per degree, in next_module's basis order
-        built: dict[BiDegree, list[dict]] = {}
-        next_kernels: dict[BiDegree, list[dict]] = {}
-        # last step: labelled basis of K_u per degree, for _variable_span
-        basis: dict[BiDegree, list[tuple[dict, int]]] = {}
-        for v in bidegs:
-            kvecs = kernels.pop(v, [])
+    for v in bidegrees_up_to_total(max_total_degree):
+        # nothing reads the columns or basis of the top total degree
+        keep = total(v) < max_total_degree
+        # kernel of the augmentation F_0 = R -> k
+        kvecs = [{k: 1} for k in range(ring.dim(v))] if v != (0, 0) else []
+        for step in range(1, max_i + 1):
+            module = modules[step - 1]
             owners = module.blocks(v)[1]
-            if last:
+            if step == max_i:
                 # no next kernel to build: (m.K)_v is spanned by the
                 # variable multiples x.K_{v - deg x}
                 span, grown = _variable_span(module, basis, v, len(kvecs),
                                              fld.p)
                 chosen = _complement(kvecs, span, owners, step, v)
-                if total(v) < max_total_degree:
+                if keep:
                     basis[v] = grown + [(kv, ring.nvars) for kv in chosen]
+                basis.pop((v[0], v[1] - 1), None)
             else:
-                columns = _lower_columns(ring, module, next_module, built, v,
-                                         divisions)
+                next_module, step_built = modules[step], built[step - 1]
+                columns = _lower_columns(ring, module, next_module,
+                                         step_built, v, divisions)
                 kernel = kernel_of_columns(columns, fld) if columns else []
                 rank = len(columns) - len(kernel)
                 if rank > len(kvecs):
@@ -308,23 +304,17 @@ def resolve_k_over_quotient(f: RepFamily, max_i: int, max_total_degree: int,
                     next_module.add_generators(v, len(chosen))
                     columns += chosen
                     kernel = kernel_of_columns(columns, fld)
-                if columns:
-                    next_kernels[v] = kernel
-                    if total(v) < max_total_degree:
-                        built[v] = columns
+                if columns and keep:
+                    step_built[v] = columns
+                # degree u is read at u + (1, 0) and, last, at u + (0, 1) = v
+                step_built.pop((v[0], v[1] - 1), None)
+                kvecs = kernel
             if chosen:
-                counts[v] = len(chosen)
-            # degree u is read at u + (1, 0) and, last, at u + (0, 1) = v
-            built.pop((v[0], v[1] - 1), None)
-            basis.pop((v[0], v[1] - 1), None)
-        for v in sorted(counts):
-            entries[(step, v)] = counts[v]
-            if total(v) == max_total_degree:
-                # generators on the window edge: the next steps may have
-                # syzygies just outside; the caller must widen to trust them
-                boundary.append((step, v))
-        module, kernels = next_module, next_kernels
-
+                entries[(step, v)] = len(chosen)
+    # generators on the window edge: the next steps may have syzygies just
+    # outside; the caller must widen to trust them
+    boundary = sorted(key for key in entries
+                      if key[0] and total(key[1]) == max_total_degree)
     return BettiTable(str(f.kind.value), f.n, entries,
                       source="oracle-resolution", field=str(fld),
                       boundary_hits=boundary)

@@ -36,6 +36,9 @@ ORACLE_RANGE = [("gl", 1), ("gl", 2), ("gl", 3),
                 ("so", 1), ("so", 2), ("so", 3),
                 ("sp", 1), ("sp", 2)]
 
+#: Truncation order of the ``hilbert`` and ``euler`` suites.
+SERIES_ORDER = 10
+
 
 def check(name, ok, detail=""):
     return (name, bool(ok), detail)
@@ -66,12 +69,12 @@ def suite_reference_tables():
     return checks
 
 
-def suite_hilbert(order: int = 10):
+def suite_hilbert():
     checks = []
     for kind, n in ORACLE_RANGE:
         f = family(kind, n)
-        closed = hilbert_closed(f, order)
-        oracle = hilbert_oracle(f, order)
+        closed = hilbert_closed(f, SERIES_ORDER)
+        oracle = hilbert_oracle(f, SERIES_ORDER)
         ok = closed.coefficients == oracle.coefficients
         detail = ""
         if not ok:
@@ -82,12 +85,12 @@ def suite_hilbert(order: int = 10):
     return checks
 
 
-def suite_betti(fld=QQ):
+def suite_betti():
     checks = []
     for kind, n in ORACLE_RANGE:
         f = family(kind, n)
         closed = betti_closed(f)
-        oracle = tor_over_S(f, fld=fld)
+        oracle = tor_over_S(f, fld=QQ)
         diff = closed.diff(oracle)
         ok = not diff and not oracle.boundary_hits
         detail = ""
@@ -95,7 +98,7 @@ def suite_betti(fld=QQ):
             detail = f"first diff {diff[0]}"
         elif oracle.boundary_hits:
             detail = f"homology on the degree boundary: {oracle.boundary_hits}"
-        checks.append(check(f"betti {f} [{fld}]", ok, detail))
+        checks.append(check(f"betti {f} [{QQ}]", ok, detail))
     return checks
 
 
@@ -114,11 +117,11 @@ def suite_exterior():
     return checks
 
 
-def suite_euler(order: int = 10):
+def suite_euler():
     checks = []
     for kind, n in ORACLE_RANGE:
         f = family(kind, n)
-        ok, mismatch = euler_check(f, order)
+        ok, mismatch = euler_check(f, SERIES_ORDER)
         checks.append(check(f"euler {f}", ok, "" if ok else str(mismatch)))
     return checks
 

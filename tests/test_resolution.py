@@ -17,7 +17,7 @@ from momentkoszul.closed import froberg_product, hilbert_closed, roos_series
 from momentkoszul.fields import GF, QQ
 from momentkoszul.ideals import family
 from momentkoszul.linalg import InvalidInputError
-from momentkoszul.monomials import basis_index, bidegrees_up_to_total
+from momentkoszul.monomials import basis_index, bidegrees_up_to_total, total
 from momentkoszul.quotient import ring_for_family
 from momentkoszul.resolution import resolve_k_over_quotient
 from momentkoszul.verify import table_poincare_totals
@@ -291,15 +291,16 @@ def test_resolution_wastes_few_eliminations_on_sp2(monkeypatch):
     assert len(products) <= 40_000, f"{len(products)} multiply_by_var calls"
 
 
-#: (kind, n, max_total_degree) of the windows whose steps are resolved both
-#: as the last step and as a middle step.
-STEP_ROUTES = (("gl", 2, 6), ("sl", 2, 6), ("sl", 3, 6), ("so", 3, 6),
+#: (kind, n, max_total_degree) of the windows compared with their cuts: one
+#: step lower (each step resolved both as the last step and as a middle step)
+#: and one total degree lower.
+CUT_WINDOWS = (("gl", 2, 6), ("sl", 2, 6), ("sl", 3, 6), ("so", 3, 6),
                ("sp", 2, 5))
 
 
 @pytest.mark.parametrize("field", sorted(FIELDS))
-@pytest.mark.parametrize("kind,n,max_total", STEP_ROUTES,
-                         ids=[f"{k}_{n}" for k, n, _ in STEP_ROUTES])
+@pytest.mark.parametrize("kind,n,max_total", CUT_WINDOWS,
+                         ids=[f"{k}_{n}" for k, n, _ in CUT_WINDOWS])
 def test_last_and_middle_steps_agree(kind, n, max_total, field):
     # step i is the last step of the window max_i = i and a middle step of
     # max_i = i + 1; both must give the same generators
@@ -310,6 +311,20 @@ def test_last_and_middle_steps_agree(kind, n, max_total, field):
                                  if key[0] <= i}, i
         assert short.boundary_hits == [hit for hit in long.boundary_hits
                                        if hit[0] <= i], i
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("kind,n,max_total", CUT_WINDOWS,
+                         ids=[f"{k}_{n}" for k, n, _ in CUT_WINDOWS])
+def test_degree_windows_are_exact(kind, n, max_total, field):
+    # the window one total degree lower is the table cut to that degree,
+    # and its boundary hits are the full table's entries on the cut's edge
+    full, cut = (resolve_k_over_quotient(family(kind, n), 4, d, FIELDS[field])
+                 for d in (max_total, max_total - 1))
+    assert cut.entries == {key: c for key, c in full.entries.items()
+                           if total(key[1]) < max_total}
+    assert cut.boundary_hits == sorted(
+        key for key in full.entries if key[0] and total(key[1]) == max_total - 1)
 
 
 def test_rank_check_catches_columns_outside_the_kernel(monkeypatch):
