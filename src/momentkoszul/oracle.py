@@ -330,10 +330,24 @@ def _run_worker_job(task):
 
 
 def _map_on_pool(job, tasks, workers: int) -> list:
-    """``job`` of every task on a fork pool of ``workers``, in any order."""
+    """``job`` of every task on a fork pool of ``workers``, in any order.
+
+    The pool is closed and joined, also when a job raises, so that each
+    worker ends between tasks.  ``Pool.terminate`` kills the workers
+    wherever they are: one killed while it writes a result keeps the
+    result queue's lock, and the pool's task thread then waits on that
+    lock for good.  Only an interrupt still terminates the pool."""
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_set_worker_job, initargs=(job,)) as pool:
+    pool = ctx.Pool(workers, initializer=_set_worker_job, initargs=(job,))
+    try:
         return list(pool.imap_unordered(_run_worker_job, tasks))
+    except BaseException as exc:
+        if not isinstance(exc, Exception):
+            pool.terminate()
+        raise
+    finally:
+        pool.close()
+        pool.join()
 
 
 def tor_over_S(f: RepFamily, max_i: int | None = None,

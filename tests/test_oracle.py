@@ -301,6 +301,23 @@ def test_d_squared_is_checked_inside_pool_workers(monkeypatch):
         tor_over_S(family("sl", 2), workers=2)
 
 
+def test_a_failing_pool_is_joined_not_terminated(monkeypatch):
+    # terminating kills workers mid-write, and one killed holding the result
+    # queue's lock hangs the pool's task thread, so the call never returns
+    import multiprocessing.pool
+
+    def no_terminate(self):
+        raise RuntimeError("the pool was terminated")
+
+    def failing_check(self, i, v):
+        raise AssertionError("d.d != 0 (planted)")
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", no_terminate)
+    monkeypatch.setattr(KoszulOracle, "check_dd", failing_check)
+    with pytest.raises(AssertionError, match="planted"):
+        tor_over_S(family("sl", 2), workers=2)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_d_squared_catches_an_entry_at_a_wrong_target_offset(monkeypatch, workers):
     columns = KoszulOracle.columns
