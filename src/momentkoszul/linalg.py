@@ -168,15 +168,6 @@ def rank_of_vectors(vectors, fld: Field = QQ) -> int:
     return ech.dimension
 
 
-def transpose(columns) -> list[dict]:
-    """The nonzero rows of the matrix with the given sparse columns."""
-    rows: dict[int, dict] = {}
-    for j, col in enumerate(columns):
-        for r, c in col.items():
-            rows.setdefault(r, {})[j] = c
-    return list(rows.values())
-
-
 def kernel_of_columns(columns, fld: Field = QQ) -> list[dict]:
     """Kernel basis of the map sending unit vector j to ``columns[j]``.
 
@@ -184,9 +175,13 @@ def kernel_of_columns(columns, fld: Field = QQ) -> list[dict]:
     ``e_f - sum_p R[p][f] e_p`` over the pivots p.  Vectors come in
     increasing f, with field-element entries.
     """
+    rows: dict[int, dict] = {}
+    for j, col in enumerate(columns):
+        for r, c in col.items():
+            rows.setdefault(r, {})[j] = c
     p = fld.p
     ech = Echelon(p)
-    for row in transpose(columns):
+    for row in rows.values():
         ech.insert(row)
     kernel = {f: {f: 1} for f in range(len(columns)) if f not in ech.rows}
     for row in ech.canonical_rows():

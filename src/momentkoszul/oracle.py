@@ -35,15 +35,16 @@ Within v the differentials are ranked from the highest homological degree
 down, with clearing (Chen and Kerber, "Persistent homology computation with
 a twist", 2011): a row of the column echelon of d_{i+1} lies in the image of
 d_{i+1}, so with d.d = 0 the column of d_i at its pivot j is a combination
-of the columns after j, and ``rank`` skips it.  Clearing trusts d.d = 0, so
-each differential is handled in one pass, top-down: d_i is d.d-checked,
-then ranked, then its columns are released.  When d_i is ranked, the check
-of d_{i+1} (its assembly and every square under it) and the assembly of d_i
-have both passed, so d_i . d_{i+1} = 0 holds where clearing uses it.  The
-Betti numbers are read only after every differential of v is checked: a
-corrupted differential fails as ``d.d != 0`` before a Betti number is
-derived from a cleared rank, and at most one differential's columns are
-held at a time.
+of the columns after j, and ``rank`` skips it.  Every differential is ranked
+by its columns, so each leaves its pivots for the one below.  Clearing
+trusts d.d = 0, so each differential is handled in one pass, top-down: d_i
+is d.d-checked, then ranked, then its columns are released.  When d_i is
+ranked, the check of d_{i+1} (its assembly and every square under it) and
+the assembly of d_i have both passed, so d_i . d_{i+1} = 0 holds where
+clearing uses it.  The Betti numbers are read only after every differential
+of v is checked: a corrupted differential fails as ``d.d != 0`` before a
+Betti number is derived from a cleared rank, and at most one
+differential's columns are held at a time.
 
 The socle of S/I in degree v is the kernel of the top differential d_N,
 N = ``ring.nvars``, in bidegree v + (num_p, num_q), where K_N is (S/I)_v
@@ -64,7 +65,7 @@ from typing import NamedTuple
 from .betti import BettiTable
 from .fields import QQ, Field
 from .ideals import RepFamily
-from .linalg import Echelon, InvalidInputError, kernel_of_columns, transpose
+from .linalg import Echelon, InvalidInputError, kernel_of_columns
 from .monomials import BiDegree, bidegrees_up_to_total, sub_bidegrees, total
 from .polynomials import format_monomial, variable_names
 from .quotient import QuotientRing, ring_for_family
@@ -188,16 +189,14 @@ class KoszulOracle:
         """Rank of d_i in bidegree v, skipping the columns that clearing
         proves dependent.
 
-        If d_{i+1} was ranked first, column by column, the pivots of its
-        echelon are dropped from d_i: a pivot row has smallest index j and
-        lies in the image of d_{i+1}, so by d.d = 0 the column j of d_i is a
-        combination of the columns after it.  By induction from the top
-        index down, the columns left span the same image, so the rank does
-        not change.  The pivot set is popped once read; d_i leaves its own
-        for d_{i-1} when it is ranked column by column, which it is when
-        its columns left number at most its rows (otherwise its rows are
-        ranked and leave no pivots).  Clearing trusts d.d = 0, so a caller
-        must run ``check_dd`` before it derives anything from the rank.
+        If d_{i+1} was ranked first, the pivots of its column echelon are
+        dropped from d_i: a pivot row has smallest index j and lies in the
+        image of d_{i+1}, so by d.d = 0 the column j of d_i is a combination
+        of the columns after it.  By induction from the top index down, the
+        columns left span the same image, so the rank does not change.  The
+        pivot set is popped once read, and d_i leaves its own for d_{i-1}.
+        Clearing trusts d.d = 0, so a caller must run ``check_dd`` before it
+        derives anything from the rank.
         """
         key = (i, v)
         got = self._rank.get(key)
@@ -207,14 +206,11 @@ class KoszulOracle:
             self._rank[key] = 0
             return 0
         cleared = self._cleared.pop(key, ())
-        cols = self.columns(i, v)
-        if cleared:
-            cols = [col for j, col in enumerate(cols) if j not in cleared]
         ech = Echelon(self.ring.field.p)
-        by_columns = len(cols) <= self.dimension(i - 1, v)
-        for vec in cols if by_columns else transpose(cols):
-            ech.insert(vec)
-        if by_columns and i > 1 and (i - 1, v) not in self._rank:
+        for j, col in enumerate(self.columns(i, v)):
+            if j not in cleared:
+                ech.insert(col)
+        if i > 1 and (i - 1, v) not in self._rank:
             self._cleared[(i - 1, v)] = set(ech.rows)
         self._rank[key] = ech.dimension
         return ech.dimension
@@ -290,10 +286,15 @@ def _bounded_workers(workers: int) -> int:
 
 
 def default_workers() -> int:
+    """The worker count ``MOMENTKOSZUL_THREADS`` sets (1 when unset), clamped
+    to 1..os.cpu_count(); a value that is not an integer is refused."""
+    value = os.environ.get("MOMENTKOSZUL_THREADS", "1")
     try:
-        return _bounded_workers(int(os.environ.get("MOMENTKOSZUL_THREADS", "1")))
+        workers = int(value)
     except ValueError:
-        return 1
+        raise InvalidInputError(
+            f"MOMENTKOSZUL_THREADS {value!r} is not an integer") from None
+    return _bounded_workers(workers)
 
 
 def _bidegree_betti(ring: QuotientRing, task):

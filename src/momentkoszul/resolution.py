@@ -14,18 +14,20 @@ complement of (m.K)_v in K_v, where K is the kernel of d_{s-1}:
 
 1. The columns of d_s in degree v of the generators below v are built; they
    span (m.K)_v, because the generators below v generate K there.  Their
-   kernel is read off the reduced row-echelon form of the columns, and their
-   rank is the number of columns minus the number of kernel vectors.
+   kernel, read off the reduced row-echelon form of the columns, is the next
+   K_v (also in 3), and their rank is the number of columns minus the
+   number of kernel vectors.
 2. The columns lie in K_v, so a rank above dim K_v raises ``AssertionError``
    naming the step and degree, even under ``python -O``.  A rank equal to
-   dim K_v means no generator: the kernel of step 1 is the kernel of d_s in
-   degree v, and no other elimination runs.
+   dim K_v means no generator, and no other elimination runs.
 3. Otherwise the columns are inserted into an echelon form until it reaches
    their rank, and the basis vectors of K_v, sparsest first (a stable sort,
    so the choice is deterministic), are added while they leave the span;
    each one that does becomes a generator, until the span is K_v.  The
-   generators' own columns are appended, and the kernel of d_s in degree v
-   is read off all the columns.
+   generators' own columns are appended.  Each leaves the span of the
+   columns before it, so no relation among all the columns has a
+   coefficient on a generator's column, and the reduced row-echelon form
+   reads the same kernel vectors off them as off the columns of 1.
 
 The last step builds no kernel, so it does not build the columns of d_s:
 there (m.K)_v is spanned by the variable multiples x.K_{v - deg x}, built
@@ -87,8 +89,6 @@ class _Module:
         self.ring = ring
         self.gens = gens
         self._blocks: dict[BiDegree, tuple[dict, list]] = {}
-        # (x, v) -> (owners of v, offsets of v + deg x), for multiply_by_var
-        self._moves: dict[tuple[int, BiDegree], tuple[list, dict]] = {}
 
     def blocks(self, v: BiDegree):
         """Returns (offsets, owners): offsets[gen] is the position of the
@@ -123,12 +123,9 @@ class _Module:
         """Image in degree v + deg(x) of a degree-v element under variable x."""
         ring = self.ring
         p = ring.field.p
-        move = self._moves.get((x, v))
-        if move is None:
-            e = ring.var_bidegree(x)
-            move = self._moves[(x, v)] = (
-                self.blocks(v)[1], self.blocks((v[0] + e[0], v[1] + e[1]))[0])
-        owners, offsets = move
+        e = ring.var_bidegree(x)
+        owners = self.blocks(v)[1]
+        offsets = self.blocks((v[0] + e[0], v[1] + e[1]))[0]
         out: dict[int, object] = {}
         get = out.get
         for pos, c in vec.items():
@@ -296,14 +293,11 @@ def resolve_k_over_quotient(f: RepFamily, max_i: int, max_total_degree: int,
                         f"{len(kvecs)} at step {step}, degree {v}")
                 chosen = []
                 if rank < len(kvecs):
-                    # read again below, with the generators' columns
-                    del kernel
                     chosen = _complement(kvecs,
                                          _column_span(columns, rank, fld.p),
                                          owners, step, v)
                     next_module.add_generators(v, len(chosen))
                     columns += chosen
-                    kernel = kernel_of_columns(columns, fld)
                 if columns and keep:
                     step_built[v] = columns
                 # degree u is read at u + (1, 0) and, last, at u + (0, 1) = v

@@ -161,30 +161,26 @@ def direct_dd(oracle, i: int, v) -> bool:
     return False
 
 
-def unit_entry_kernel(real):
-    """A ``kernel_of_columns`` that breaks minimality once.
+def unit_entry_complement(real):
+    """A resolution ``_complement`` that breaks minimality once.
 
-    Wraps ``real``.  A column that is one of the vectors the wrapper returned
-    earlier is a generator's own presentation, so its index is the position
-    of a generator in the degree of the call.  In the first call with such a
-    position and a nonempty kernel, the first kernel vector gains entry 1 at
-    that position.
+    Wraps ``real``.  In the first call with a nonempty basis of K_v whose
+    degree-v basis ``owners`` holds a generator of degree v, the first
+    basis vector gains entry 1 at that generator's position, as if the
+    kernel of the step below had a unit entry.
     """
-    returned = {}  # id -> vector, kept alive so that ids are not reused
     done = []
 
-    def kernel(columns, fld):
-        out = real(columns, fld)
-        if not done and out:
-            gen = next((j for j, col in enumerate(columns)
-                        if id(col) in returned), None)
+    def complement(kvecs, span, owners, step, v):
+        if not done and kvecs:
+            gen = next((pos for pos, (_, rest, _) in enumerate(owners)
+                        if rest == (0, 0)), None)
             if gen is not None:
-                out[0][gen] = 1
+                kvecs = [{**kvecs[0], gen: 1}] + kvecs[1:]
                 done.append(gen)
-        returned.update((id(kv), kv) for kv in out)
-        return out
+        return real(kvecs, span, owners, step, v)
 
-    return kernel
+    return complement
 
 
 def column_with_a_flipped_sign(real, i: int, v, j: int, built=None):

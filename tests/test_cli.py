@@ -134,6 +134,14 @@ def test_a_modulus_that_is_not_an_integer_exits_2(capsys):
     assert err == "error: modulus of field spec 'fp:abc' is not an integer\n"
 
 
+def test_a_worker_count_that_is_not_an_integer_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("MOMENTKOSZUL_THREADS", "two")
+    code, out, err = run(capsys, "betti", "--family", "gl", "--n", "1",
+                         "--source", "oracle")
+    assert code == 2 and not out
+    assert err == "error: MOMENTKOSZUL_THREADS 'two' is not an integer\n"
+
+
 def test_moduli_from_two_to_the_64_exit_2(capsys):
     for p in (2 ** 64, 2 ** 89 - 1):
         code, _, err = run(capsys, "betti", "--family", "gl", "--n", "1",

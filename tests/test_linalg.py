@@ -190,6 +190,30 @@ def test_kernel_of_fractional_columns(rows):
         assert all(v == 0 for v in acc.values())
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([None, 7, P]),
+       st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+                max_size=6),
+       st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+                min_size=1, max_size=4))
+def test_independent_columns_leave_the_kernel_unchanged(p, columns, extra):
+    # the resolution appends its generators' columns, each outside the span
+    # of the columns before it, and keeps the kernel of the others
+    fld = QQ if p is None else GF(p)
+
+    def vector(entries):
+        return {j: x % p if p else x for j, x in enumerate(entries)
+                if (x % p if p else x)}
+
+    cols = [vector(entries) for entries in columns]
+    span = Echelon(p)
+    for col in cols:
+        span.insert(col)
+    appended = [vec for vec in map(vector, extra) if span.insert(vec)]
+    assert (kernel_of_columns(cols + appended, fld)
+            == kernel_of_columns(cols, fld))
+
+
 def test_results_hold_no_integral_fraction():
     # back-substitution over QQ leaves Fraction(1, 1) in one row of this
     # kernel; kernel vectors become presentations of the resolution

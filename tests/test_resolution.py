@@ -25,7 +25,7 @@ from momentkoszul.verify import table_poincare_totals
 from helpers import (
     dropped_kernel_vector,
     series_coeffs_one_var,
-    unit_entry_kernel,
+    unit_entry_complement,
 )
 
 
@@ -238,8 +238,8 @@ def test_minimality_check_catches_a_unit_entry(monkeypatch):
     # sl_2 gains a generator in degree (3, 1) at step 3; the kernel of d_3
     # is zero in total degree 3, so at step 4 the span of variable multiples
     # in degree (3, 1) is empty and every kernel basis vector is chosen
-    monkeypatch.setattr(resolution, "kernel_of_columns",
-                        unit_entry_kernel(resolution.kernel_of_columns))
+    monkeypatch.setattr(resolution, "_complement",
+                        unit_entry_complement(resolution._complement))
     with pytest.raises(AssertionError,
                        match=r"unit entry in presentation at step 4, "
                              r"degree \(3, 1\)"):
@@ -252,8 +252,8 @@ def test_minimality_check_survives_python_O():
         "assert False, 'asserts are on'\n"
         "import momentkoszul.resolution as r\n"
         "from momentkoszul.ideals import family\n"
-        "from helpers import unit_entry_kernel\n"
-        "r.kernel_of_columns = unit_entry_kernel(r.kernel_of_columns)\n"
+        "from helpers import unit_entry_complement\n"
+        "r._complement = unit_entry_complement(r._complement)\n"
         "r.resolve_k_over_quotient(family('sl', 2), 4, 5)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -289,6 +289,32 @@ def test_resolution_wastes_few_eliminations_on_sp2(monkeypatch):
     resolve_k_over_quotient(family("sp", 2), 4, 6)
     assert len(failed) <= 18_000, f"{len(failed)} failed inserts"
     assert len(products) <= 40_000, f"{len(products)} multiply_by_var calls"
+
+
+@pytest.mark.parametrize("kind,n,max_i,max_total",
+                         [("sl", 3, 5, 7), ("sp", 2, 4, 6)],
+                         ids=["sl_3", "sp_2"])
+def test_one_kernel_elimination_per_step_and_degree(monkeypatch, kind, n,
+                                                    max_i, max_total):
+    # the kernel of a middle step's lower columns is the next K_v, also
+    # where the step chooses generators
+    real_lower, real_kernel = (resolution._lower_columns,
+                               resolution.kernel_of_columns)
+    current, calls = [], []
+
+    def lower_columns(ring, module, next_module, built, v, divisions):
+        current[:] = [(id(module), v)]
+        return real_lower(ring, module, next_module, built, v, divisions)
+
+    def kernel(columns, fld):
+        calls.append(current[0])
+        return real_kernel(columns, fld)
+
+    monkeypatch.setattr(resolution, "_lower_columns", lower_columns)
+    monkeypatch.setattr(resolution, "kernel_of_columns", kernel)
+    resolve_k_over_quotient(family(kind, n), max_i, max_total)
+    assert calls
+    assert len(calls) == len(set(calls)), "a step eliminated twice in a degree"
 
 
 #: (kind, n, max_total_degree) of the windows compared with their cuts: one
