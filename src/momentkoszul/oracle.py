@@ -31,6 +31,16 @@ v, serially or in a fork-pool worker.  Only the quotient ring's pieces,
 multiplication maps and checked squares stay cached across bidegrees, until
 the call returns.
 
+When the ring passes ``_swaps_p_and_q``, only the bidegrees (a, b) with
+a >= b are ranked, and beta_i(a, b) for a < b is read off (b, a).  The check
+asks num_p = num_q and that the swap sigma: p_k <-> q_k sends every
+generator into I, its normal form in its bidegree being zero over the ring's
+field.  Then sigma(I) is in I, and sigma(I) = I because sigma^2 = id, so
+sigma is a ring automorphism of S that keeps I, swaps the two gradings and
+permutes the variables; it carries the complex of (a, b) onto that of
+(b, a), and the two Betti numbers are equal exactly.  Every family here
+passes; a ring that fails is ranked in every bidegree.
+
 Within v the differentials are ranked from the highest homological degree
 down, with clearing (Chen and Kerber, "Persistent homology computation with
 a twist", 2011): a row of the column echelon of d_{i+1} lies in the image of
@@ -67,7 +77,8 @@ from .fields import QQ, Field
 from .ideals import RepFamily
 from .linalg import Echelon, InvalidInputError, kernel_of_columns
 from .monomials import BiDegree, bidegrees_up_to_total, sub_bidegrees, total
-from .polynomials import format_monomial, variable_names
+from .pieces import ideal_span_vectors
+from .polynomials import Polynomial, format_monomial, variable_names
 from .quotient import QuotientRing, ring_for_family
 from .series import TruncatedSeries
 
@@ -297,6 +308,29 @@ def default_workers() -> int:
     return _bounded_workers(workers)
 
 
+def _non_negative(**bounds):
+    """Refuse a negative bound; a bound of None is unbounded."""
+    if any(bound is not None and bound < 0 for bound in bounds.values()):
+        raise InvalidInputError("window must be non-negative, got " + ", ".join(
+            f"{name}={bound}" for name, bound in bounds.items()))
+
+
+def _swaps_p_and_q(ring: QuotientRing) -> bool:
+    """Whether the swap p_k <-> q_k maps the ideal of ``ring`` into itself:
+    num_p = num_q, and each swapped generator has normal form zero in its
+    bidegree, over the ring's field."""
+    n = ring.num_p
+    if n != ring.num_q:
+        return False
+    for g in ring.generators:
+        swapped = Polynomial.from_dict(n, n, {m[n:] + m[:n]: c for m, c in g.terms})
+        w = swapped.bidegree()
+        if w is not None and any(ring.nf(w, vec) for vec in
+                                 ideal_span_vectors([swapped], w, ring.field)):
+            return False
+    return True
+
+
 def _bidegree_betti(ring: QuotientRing, task):
     """``(v, {i: beta_i(v)})`` for ``task = (v, degrees)``, from an oracle
     that holds the complex of v alone and is dropped on return.
@@ -371,6 +405,11 @@ def tor_over_S(f: RepFamily, max_i: int | None = None,
     ranks live only while v is computed, and the columns of one
     differential at a time.  The quotient ring's pieces, multiplication
     maps and checked squares stay cached for the whole call.
+    When the ring passes ``_swaps_p_and_q`` (every family does), only the
+    bidegrees (a, b) with a >= b are computed, and beta_i(a, b) for a < b is
+    read off (b, a): the checked swap p_k <-> q_k is a ring automorphism
+    that keeps I and carries the complex of (a, b) onto that of (b, a), so
+    the two are equal exactly.  Otherwise every bidegree is computed.
     ``workers`` > 1 maps whole bidegrees, d.d checks included, over a fork
     pool; the entries and ``boundary_hits`` are assembled in scan order
     (i, then v) either way, so the result is bit-identical.
@@ -380,10 +419,7 @@ def tor_over_S(f: RepFamily, max_i: int | None = None,
     ring = ring_for_family(f, fld)
     if max_i is None:
         max_i = projective_dimension(f)
-    if max_i < 0 or (max_total_degree is not None and max_total_degree < 0):
-        raise InvalidInputError(
-            f"window must be non-negative, got max_i={max_i}, "
-            f"max_total_degree={max_total_degree}")
+    _non_negative(max_i=max_i, max_total_degree=max_total_degree)
     # the complex stops at i = nvars, so higher degrees add only zeros
     max_i = min(max_i, ring.nvars)
     bounds = [i + 3 if max_total_degree is None else max_total_degree
@@ -393,7 +429,12 @@ def tor_over_S(f: RepFamily, max_i: int | None = None,
     scan: dict[BiDegree, list[int]] = {}
     for i, v in keys:
         scan.setdefault(v, []).append(i)
-    tasks = sorted(scan.items(), key=lambda task: -total(task[0]))
+    mirror = _swaps_p_and_q(ring)
+    # a bidegree and its mirror have the same degrees i: the bounds depend
+    # on total(v) alone
+    tasks = sorted(((v, degrees) for v, degrees in scan.items()
+                    if not mirror or v[0] >= v[1]),
+                   key=lambda task: -total(task[0]))
     job = partial(_bidegree_betti, ring)
     workers = default_workers() if workers is None else _bounded_workers(workers)
     if workers > 1 and hasattr(os, "fork"):
@@ -403,7 +444,7 @@ def tor_over_S(f: RepFamily, max_i: int | None = None,
     entries = {}
     boundary = []
     for i, v in keys:
-        b = betti[v][i]
+        b = betti[(v[1], v[0]) if mirror and v[0] < v[1] else v][i]
         if b:
             entries[(i, v)] = b
             if total(v) == bounds[i]:
@@ -422,6 +463,7 @@ def hilbert_oracle(f: RepFamily, order: int, fld: Field = QQ) -> TruncatedSeries
     eliminated.
     """
     ring = ring_for_family(f, fld)
+    _non_negative(order=order)
     coeffs = {}
     for v in bidegrees_up_to_total(order):
         d = ring.dim(v)
@@ -458,6 +500,7 @@ def socle(f: RepFamily, max_total_degree: int, fld: Field = QQ) -> dict[BiDegree
     Tor_N^S(S/I, k) in bidegree v + (num_p, num_q).
     """
     ring = ring_for_family(f, fld)
+    _non_negative(max_total_degree=max_total_degree)
     return {v: len(kernel) for v, kernel in _top_kernels(ring, max_total_degree)
             if kernel}
 
@@ -467,6 +510,7 @@ def depth_zero_witness(f: RepFamily, fld: Field = QQ,
     """A nonzero low-degree socle element (witnessing depth zero), if any:
     the first kernel vector of ``_top_kernels``, as a polynomial."""
     ring = ring_for_family(f, fld)
+    _non_negative(max_total_degree=max_total_degree)
     names = variable_names(ring.num_p, ring.num_q, f.doubled_names)
     for v, kernel in _top_kernels(ring, max_total_degree):
         if kernel:

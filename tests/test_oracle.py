@@ -18,7 +18,7 @@ from momentkoszul.closed import (
 )
 from momentkoszul.fields import GF, QQ
 from momentkoszul.ideals import family
-from momentkoszul import oracle
+from momentkoszul import ideals, oracle
 from momentkoszul.linalg import Echelon, InvalidInputError, axpy
 from momentkoszul.monomials import bidegrees_up_to_total
 from momentkoszul.oracle import (
@@ -29,6 +29,7 @@ from momentkoszul.oracle import (
     socle,
     tor_over_S,
 )
+from momentkoszul.polynomials import Polynomial
 from momentkoszul.quotient import QuotientRing, ring_for_family
 from momentkoszul.verify import ORACLE_RANGE
 
@@ -187,6 +188,64 @@ def test_oracle_tables_are_symmetric():
         assert tor_over_S(family(kind, n)).is_symmetric()
 
 
+def _direct_betti(f, fld, bidegrees):
+    """{(i, v): beta} of every key ``tor_over_S`` scans by default with v in
+    ``bidegrees``, each bidegree by ``_bidegree_betti`` on one fresh ring."""
+    ring = ring_for_family(f, fld)
+    scan = {}
+    for i in range(min(projective_dimension(f), ring.nvars) + 1):
+        for v in bidegrees_up_to_total(i + 3):
+            if v in bidegrees:
+                scan.setdefault(v, []).append(i)
+    out = {}
+    for task in scan.items():
+        v, betti = oracle._bidegree_betti(ring, task)
+        out.update(((i, v), b) for i, b in betti.items())
+    return out
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(32003)], ids=str)
+@pytest.mark.parametrize("kind, n", [("gl", 2), ("sl", 3), ("so", 3), ("sp", 2)])
+def test_mirrored_entries_equal_their_direct_ranks(kind, n, fld):
+    # tor_over_S reads each beta_i(a, b) with a < b off (b, a); computed
+    # directly instead, every one of them must come out the same
+    f = family(kind, n)
+    assert oracle._swaps_p_and_q(ring_for_family(f, fld))
+    table = tor_over_S(f, fld=fld, workers=1)
+    below = {v for v in bidegrees_up_to_total(f.num_p + f.num_q + 3) if v[0] < v[1]}
+    direct = _direct_betti(f, fld, below)
+    assert any(direct.values())
+    assert {key: table.beta(*key) for key in direct} == direct
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(32003)], ids=str)
+def test_a_ring_that_fails_the_swap_check_ranks_every_bidegree(monkeypatch, fld):
+    # gl_2 without p1*q2 keeps p2*q1, whose swap p1*q2 is then not in I
+    p1q2 = Polynomial.from_dict(2, 2, {(1, 0, 0, 1): 1})
+    real = ideals.generators
+    monkeypatch.setattr(ideals, "generators",
+                        lambda f: [g for g in real(f) if g != p1q2])
+    f = family("gl", 2)
+    ring = ring_for_family(f, fld)
+    assert len(ring.generators) == 3
+    assert not oracle._swaps_p_and_q(ring)
+    ranked = set()
+    rank = KoszulOracle.rank
+
+    def recording_rank(self, i, v):
+        ranked.add((i, v))
+        return rank(self, i, v)
+
+    monkeypatch.setattr(KoszulOracle, "rank", recording_rank)
+    table = tor_over_S(f, fld=fld, workers=1)
+    through_tor = set(ranked)
+    ranked.clear()
+    direct = _direct_betti(f, fld, set(bidegrees_up_to_total(f.num_p + f.num_q + 3)))
+    assert through_tor == ranked
+    assert any(v[0] < v[1] for _, v in through_tor)
+    assert table.entries == {key: b for key, b in direct.items() if b}
+
+
 def test_parallel_workers_are_bit_identical():
     f = family("sl", 2)
     a = tor_over_S(f, workers=1)
@@ -241,10 +300,13 @@ def test_tor_ranks_and_checks_the_keys_of_one_shared_oracle(monkeypatch):
     for kind, n in [("gl", 3), ("sl", 2), ("sp", 1)]:
         f = family(kind, n)
         calls.clear()
-        # one oracle for the whole scan, i outer, then v
+        # one oracle for the whole scan, i outer, then v; the ring passes
+        # the swap check, so the bidegrees with a < b are read off (b, a)
         shared = KoszulOracle(ring_for_family(f))
         for i in range(projective_dimension(f) + 1):
             for v in bidegrees_up_to_total(i + 3):
+                if v[0] < v[1]:
+                    continue
                 shared.betti(i, v)
                 if shared.dimension(i, v):
                     shared.check_dd(i, v)
@@ -664,3 +726,18 @@ def test_tor_refuses_a_negative_max_i():
 def test_tor_refuses_a_negative_total_degree_bound():
     with pytest.raises(InvalidInputError, match="max_total_degree=-3"):
         tor_over_S(family("sl", 2), max_total_degree=-3)
+
+
+def test_hilbert_oracle_refuses_a_negative_order():
+    with pytest.raises(InvalidInputError, match="order=-1"):
+        hilbert_oracle(family("sl", 2), -1)
+
+
+def test_socle_refuses_a_negative_total_degree_bound():
+    with pytest.raises(InvalidInputError, match="max_total_degree=-1"):
+        socle(family("sp", 2), -1)
+
+
+def test_depth_witness_refuses_a_negative_total_degree_bound():
+    with pytest.raises(InvalidInputError, match="max_total_degree=-3"):
+        depth_zero_witness(family("sl", 2), max_total_degree=-3)

@@ -18,6 +18,7 @@ from momentkoszul.fields import GF, QQ
 from momentkoszul.ideals import family
 from momentkoszul.linalg import InvalidInputError
 from momentkoszul.monomials import basis_index, bidegrees_up_to_total, total
+from momentkoszul.oracle import hilbert_oracle
 from momentkoszul.quotient import ring_for_family
 from momentkoszul.resolution import resolve_k_over_quotient
 from momentkoszul.verify import table_poincare_totals
@@ -351,6 +352,22 @@ def test_degree_windows_are_exact(kind, n, max_total, field):
                            if total(key[1]) < max_total}
     assert cut.boundary_hits == sorted(
         key for key in full.entries if key[0] and total(key[1]) == max_total - 1)
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("kind,n,max_i,max_total", [("sl", 2, 5, 6), ("gl", 3, 5, 6),
+                                                    ("so", 3, 5, 6), ("sp", 2, 4, 6)])
+def test_residue_field_betti_numbers_invert_the_hilbert_series(kind, n, max_i,
+                                                               max_total, field):
+    # the resolution of k over A = S/I has Euler characteristic
+    # P(s, t, -1) H_A(s, t) = 1; beta_{i,v} = 0 for i > total(v), so every v
+    # with total(v) <= max_i has all its beta_{i,v} inside the window
+    f, fld = family(kind, n), FIELDS[field]
+    t = resolve_k_over_quotient(f, max_i, max_total, fld)
+    inverse = hilbert_oracle(f, max_total, fld).inverse()
+    for v in bidegrees_up_to_total(min(max_i, max_total)):
+        alternating = sum((-1) ** i * t.beta(i, v) for i in range(max_i + 1))
+        assert alternating == inverse.coefficient(v), v
 
 
 def test_rank_check_catches_columns_outside_the_kernel(monkeypatch):
