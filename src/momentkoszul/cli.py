@@ -47,7 +47,7 @@ MAX_CATALAN_N = 7000
 
 
 #: Largest --n of ``betti --source oracle|both`` without --force.  At the cap
-#: the largest run, sp_3 (12 variables), takes about 2.6-2.8 s and 39 MiB on
+#: the largest run, sp_3 (12 variables), takes about 0.6-0.8 s and 26 MiB on
 #: a 2-core x86 VM over either field.
 MAX_ORACLE_N = 5
 MAX_ORACLE_N_SP = 3

@@ -53,6 +53,23 @@ class RepFamily:
         return self.num_p
 
     @property
+    def torus_weights(self) -> tuple[tuple[int, ...], ...]:
+        """The weight in Z^n of each variable slot k: +-e_{k mod n}.
+
+        The p-slots are + and the q-slots - for gl and sl; every slot is +
+        for so and sp.  Every generator is then weight-homogeneous, and
+        permuting the index i of every block by one pi in S_n (slot k to
+        n * (k // n) + pi(k mod n)) maps the weight of each slot by pi."""
+        n, num_p = self.n, self.num_p
+        minus_q = self.kind in (FamilyKind.GL, FamilyKind.SL)
+        weights = []
+        for k in range(num_p + self.num_q):
+            unit = [0] * n
+            unit[k % n] = -1 if minus_q and k >= num_p else 1
+            weights.append(tuple(unit))
+        return tuple(weights)
+
+    @property
     def doubled_names(self) -> bool:
         """Whether variables print with the flattened double index (sp only)."""
         return self.kind is FamilyKind.SP

@@ -41,6 +41,26 @@ permutes the variables; it carries the complex of (a, b) onto that of
 (b, a), and the two Betti numbers are equal exactly.  Every family here
 passes; a ring that fails is ranked in every bidegree.
 
+Within a ranked bidegree only one torus weight per S_n orbit is ranked.
+Variable slot k has the weight +-e_{k mod n} in Z^n
+(``RepFamily.torus_weights``), and ``_torus_grading`` checks once per call,
+over the ring's field, that every generator is weight-homogeneous and that
+the transposition (1 2) and the n-cycle, permuting the index of every block
+of n slots, each send every generator into I (``_keeps_ideal``, which also
+checks the swap).  Homogeneous generators make every row of the reduced
+echelon of I_v homogeneous, so normal forms and ``mult_by_var`` keep
+weights, and the complex of v is the direct sum of complexes K(v, lambda),
+one per weight.  The two permutations generate S_n, so every pi in S_n keeps
+I, and pi, a ring automorphism that permutes the variables, carries
+K(v, lambda) onto K(v, pi.lambda).  Hence
+beta_i(v) = sum over dominant lambda of |S_n.lambda| beta_i(v, lambda),
+dominant meaning that the coordinates descend, and exactly: ``KoszulOracle``
+keeps the basis elements of dominant weight and counts each with the size
+of its weight's orbit in every dimension and rank.  A ring that fails the
+check is ranked whole, as the trivial grading in Z^0: one class, counted
+once.  A multiplication entry in a row of another weight fails the assembly
+check as ``d.d != 0``.
+
 Within v the differentials are ranked from the highest homological degree
 down, with clearing (Chen and Kerber, "Persistent homology computation with
 a twist", 2011): a row of the column echelon of d_{i+1} lies in the image of
@@ -68,8 +88,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from collections import Counter
 from functools import cache, partial
 from itertools import combinations
+from math import factorial
+from operator import mul
 from typing import NamedTuple
 
 from .betti import BettiTable
@@ -116,8 +139,166 @@ def _exterior_table(nvars: int, num_p: int, i: int) -> _ExteriorTable:
                           {e: tuple(sorted(ab)) for e, ab in pairs.items()})
 
 
+class _Class(NamedTuple):
+    """The standard monomials of one weight mu in one quotient piece."""
+
+    #: mu, packed (see ``_BASE``)
+    weight: int
+    #: the quotient coordinates of the monomials, ascending: their places
+    positions: tuple
+    #: quotient coordinate -> its place in ``positions``
+    index: dict
+    #: x -> ``_Grading.move``, filled as it is asked
+    moves: dict
+
+
+class _Kept(NamedTuple):
+    """A class of (S/I)_w kept beside an exterior monomial eps."""
+
+    #: the dominant weight wt(eps) + mu, packed
+    weight: int
+    cls: _Class
+    #: |S_n . weight|, the multiplicity of each basis element (eps, m), once
+    #: per monomial of the class
+    orbits: list
+
+
+@cache
+def _exterior_groups(nvars: int, num_p: int, i: int, slots: tuple) -> tuple:
+    """The degree-i exterior monomials as (eps, g) in ``_exterior_table``
+    order, and the list of the distinct (deg eps, wt eps), which g indexes;
+    ``slots`` holds the packed weight of each variable.
+
+    Tabulated once per shape and grading, for the life of the process, as
+    ``_exterior_table`` is."""
+    groups: dict[tuple, int] = {}
+    monomials = tuple(
+        (eps, groups.setdefault((e, sum(slots[k] for k in eps)), len(groups)))
+        for eps, e in _exterior_table(nvars, num_p, i).monomials)
+    return monomials, list(groups)
+
+
+#: A weight lam in Z^n is held packed, as the integer sum of lam_c * _BASE^c,
+#: so that adding weights adds their integers; this is one to one while
+#: every |lam_c| < _BASE / 2, far beyond any degree the oracle can reach.
+_BASE = 1 << 32
+
+
+@cache
+def _orbit(lam: int, n: int) -> int:
+    """|S_n . lam| when the packed weight lam in Z^n is dominant, else 0;
+    kept for the life of the process, as the exterior tables are."""
+    coords = []
+    for _ in range(n):
+        c = (lam + _BASE // 2) % _BASE - _BASE // 2
+        coords.append(c)
+        lam = (lam - c) // _BASE
+    if any(a < b for a, b in zip(coords, coords[1:])):
+        return 0
+    size = factorial(n)
+    for m in Counter(coords).values():
+        size //= factorial(m)
+    return size
+
+
+class _Grading:
+    """Torus weights of the variables of ``ring``, and the classes of each
+    quotient piece that the oracle keeps under them.
+
+    ``weights`` gives each variable slot a weight in Z^n; None is the
+    trivial grading in Z^0, under which every basis element has weight 0
+    and multiplicity 1, so the oracle keeps the whole complex.  A weight is
+    dominant when its coordinates descend, and its S_n orbit has n! / prod
+    m_c! elements, m_c the number of coordinates equal to c.  Each piece is
+    grouped by weight once, and the classes kept beside one exterior weight
+    once, for the life of the grading: one ``tor_over_S`` call.
+    """
+
+    def __init__(self, ring: QuotientRing, weights=None):
+        self.ring = ring
+        self.n = len(weights[0]) if weights else 0
+        self._slots = tuple(sum(x * _BASE ** c for c, x in enumerate(wt))
+                            for wt in weights or ((),) * ring.nvars)
+        self._pieces: dict[BiDegree, dict[int, _Class]] = {}
+        self._kept: dict[BiDegree, dict[int, tuple]] = {}
+
+    def weight(self, exponents) -> int:
+        """The packed weight of the monomial with these exponents."""
+        return sum(map(mul, exponents, self._slots))
+
+    def exterior(self, i: int) -> tuple:
+        """``_exterior_groups`` of degree i under this grading."""
+        return _exterior_groups(self.ring.nvars, self.ring.num_p, i, self._slots)
+
+    def classes(self, w: BiDegree) -> dict:
+        """mu -> the ``_Class`` of weight mu of (S/I)_w, in the order the
+        weights first occur in the piece."""
+        got = self._pieces.get(w)
+        if got is None:
+            groups: dict[int, list] = {}
+            for pos, mono in enumerate(self.ring.piece(w).basis):
+                groups.setdefault(self.weight(mono), []).append(pos)
+            got = self._pieces[w] = {
+                mu: _Class(mu, tuple(ps), dict(zip(ps, range(len(ps)))), {})
+                for mu, ps in groups.items()}
+        return got
+
+    def kept(self, w: BiDegree, eps_weight: int) -> tuple:
+        """A ``_Kept`` per class of (S/I)_w whose weight plus
+        ``eps_weight`` is dominant, in the order of ``classes(w)``."""
+        by_weight = self._kept.setdefault(w, {})
+        got = by_weight.get(eps_weight)
+        if got is None:
+            got = []
+            for mu, cls in self.classes(w).items():
+                orbit = _orbit(eps_weight + mu, self.n)
+                if orbit:
+                    got.append(_Kept(eps_weight + mu, cls, [orbit] * len(cls.positions)))
+            got = by_weight[eps_weight] = tuple(got)
+        return got
+
+    def move(self, x: int, w: BiDegree, cls: _Class) -> tuple:
+        """Multiplication by x on the class ``cls`` of (S/I)_w, as
+        ``(columns, outside)``.
+
+        x m has weight mu + wt(x), so column k, x times the monomial at
+        place k, maps the places of the class of that weight in
+        (S/I)_{w + deg x} to coefficients.  ``outside`` says whether some
+        entry of ``ring.mult_by_var`` fell outside that class; such an entry
+        is left out of the columns."""
+        got = cls.moves.get(x)
+        if got is None:
+            up = (w[0] + 1, w[1]) if x < self.ring.num_p else (w[0], w[1] + 1)
+            target = self.classes(up).get(cls.weight + self._slots[x])
+            index = {} if target is None else target.index
+            mult = self.ring.mult_by_var(x, w)
+            if len(index) == self.ring.dim(up):
+                # the target class is its whole piece: places are coordinates
+                got = ([mult[pos] for pos in cls.positions], False)
+            else:
+                cols, outside = [], False
+                for pos in cls.positions:
+                    col = {}
+                    for tpos, c in mult[pos].items():
+                        t = index.get(tpos)
+                        if t is None:
+                            outside = True
+                        else:
+                            col[t] = c
+                    cols.append(col)
+                got = (cols, outside)
+            cls.moves[x] = got
+        return got
+
+
 class KoszulOracle:
     """Chain bases, differentials and ranks of the complex over one ring.
+
+    The oracle keeps the basis elements (eps, m) whose weight
+    wt(eps) + wt(m) under ``grading`` is dominant, indexed compactly: row j
+    of d_{i+1} is column j of d_i.  Dimensions and ranks count each kept
+    element with the orbit size of its weight.  Without a grading it keeps
+    the whole complex, each element counted once.
 
     Every result is cached per (i, v) for the oracle's lifetime, unless
     ``release`` drops a differential's columns; the differentials dominate
@@ -128,57 +309,95 @@ class KoszulOracle:
     on its own finds no pivots and ranks every column.
     """
 
-    def __init__(self, ring: QuotientRing):
+    def __init__(self, ring: QuotientRing, grading: _Grading | None = None):
         self.ring = ring
+        self.grading = _Grading(ring) if grading is None else grading
         self._rank: dict[tuple[int, BiDegree], int] = {}
-        self._basis: dict[tuple[int, BiDegree], list] = {}
+        self._basis: dict[tuple[int, BiDegree], tuple] = {}
         self._cols: dict[tuple[int, BiDegree], list] = {}
+        self._moves: dict[tuple[int, BiDegree], list] = {}
         self._cleared: dict[tuple[int, BiDegree], set[int]] = {}
 
     def basis(self, i: int, v: BiDegree):
-        """Blocks (eps, dim) of the degree-(i, v) piece, plus index offsets."""
+        """Blocks (eps, w, offset, kept) of the kept part of the degree-(i, v)
+        piece, plus the orbit size of each kept element by its index.
+
+        A block holds the elements (eps, m) with m in the class ``kept.cls``
+        of (S/I)_w, w = v - deg eps, at the indices from ``offset`` on, in
+        the order of the class's places."""
         key = (i, v)
         got = self._basis.get(key)
         if got is not None:
             return got
-        ring = self.ring
-        blocks = []
-        offset = 0
+        ring, grading = self.ring, self.grading
+        blocks: list = []
+        orbits: list[int] = []
         if 0 <= i <= ring.nvars:
-            table = _exterior_table(ring.nvars, ring.num_p, i)
+            monomials, groups = grading.exterior(i)
             pieces = {}
-            for e in table.pairs:  # every exterior bidegree of degree i
+            for e in _exterior_table(ring.nvars, ring.num_p, i).pairs:
                 w = sub_bidegrees(v, e)
-                pieces[e] = (w, ring.dim(w))
-            for eps, e in table.monomials:
-                w, d = pieces[e]
-                if d:
-                    blocks.append((eps, w, offset, d))
-                    offset += d
-        result = (blocks, offset)
+                if ring.dim(w):
+                    pieces[e] = w
+            kept = []
+            for e, eps_weight in groups:
+                w = pieces.get(e)
+                kept.append((w, () if w is None else grading.kept(w, eps_weight)))
+            for eps, g in monomials:
+                w, classes = kept[g]
+                for k in classes:
+                    blocks.append((eps, w, len(orbits), k))
+                    orbits += k.orbits
+        result = (blocks, orbits)
         self._basis[key] = result
         return result
 
     def dimension(self, i: int, v: BiDegree) -> int:
-        return self.basis(i, v)[1]
+        """dim K_i in bidegree v: the orbit sizes of the kept elements."""
+        return sum(self.basis(i, v)[1])
 
-    def _removals(self, i: int, v: BiDegree):
-        """Per block of the (i, v) piece, in order: its offset, its dimension
-        and its removals (r odd, target offset, multiplication map by x_r),
-        one per face of eps that is a block of the (i - 1, v) piece."""
-        ring = self.ring
-        faces = _exterior_table(ring.nvars, ring.num_p, i).faces
-        target = {eps: off for eps, _, off, _ in self.basis(i - 1, v)[0]}
-        for eps, w, off, d in self.basis(i, v)[0]:
-            removals = []
-            for r, face in enumerate(faces[eps]):
-                t = target.get(face)
-                if t is not None:
-                    removals.append((r % 2, t, ring.mult_by_var(eps[r], w)))
-            yield off, d, removals
+    def _removals(self, i: int, v: BiDegree) -> list:
+        """Per block of the (i, v) piece, in order: its offset, its size and
+        its removals (r odd, target offset, (columns, outside)), one per face
+        of eps whose quotient piece is nonzero.  Built once for ``columns``
+        and ``check_dd``, and dropped with the columns.
+
+        (face, x_r m) has the block's weight, so the target is the face's
+        block of that weight, and ``columns`` and ``outside`` are
+        ``_Grading.move`` of x_r on the block's class.  A face with no block
+        of that weight is given offset 0: its columns are empty unless
+        ``outside`` is set."""
+        key = (i, v)
+        got = self._moves.get(key)
+        if got is not None:
+            return got
+        ring, grading = self.ring, self.grading
+        num_p = ring.num_p
+        faces = _exterior_table(ring.nvars, num_p, i).faces
+        targets: dict[tuple, dict] = {}
+        for eps, _, off, k in self.basis(i - 1, v)[0]:
+            targets.setdefault(eps, {})[k.weight] = off
+        live = {w for e in _exterior_table(ring.nvars, num_p, i - 1).pairs
+                if ring.dim(w := sub_bidegrees(v, e))}
+        got, last, moves = [], None, []
+        for eps, w, off, k in self.basis(i, v)[0]:
+            if eps != last:  # the blocks of one eps are adjacent
+                last, moves = eps, []
+                for r, face in enumerate(faces[eps]):
+                    x = eps[r]
+                    if ((w[0] + 1, w[1]) if x < num_p else (w[0], w[1] + 1)) in live:
+                        moves.append((r % 2, x, targets.get(face, {})))
+            cls = k.cls
+            got.append((off, len(k.orbits), [
+                (odd, by_weight.get(k.weight, 0),
+                 cls.moves.get(x) or grading.move(x, w, cls))
+                for odd, x, by_weight in moves]))
+        self._moves[key] = got
+        return got
 
     def columns(self, i: int, v: BiDegree):
-        """Columns of the differential K_i -> K_{i-1} in bidegree v."""
+        """Columns of the differential K_i -> K_{i-1} in bidegree v, on the
+        kept elements."""
         key = (i, v)
         got = self._cols.get(key)
         if got is not None:
@@ -189,7 +408,7 @@ class KoszulOracle:
             for pos in range(d):
                 # each removal lands in its own target block: no entries collide
                 col: dict[int, object] = {}
-                for odd, off, mult in removals:
+                for odd, off, (mult, _) in removals:
                     for tpos, c in mult[pos].items():
                         col[off + tpos] = (-c if p is None else p - c) if odd else c
                 cols.append(col)
@@ -208,6 +427,11 @@ class KoszulOracle:
         pivot set is popped once read, and d_i leaves its own for d_{i-1}.
         Clearing trusts d.d = 0, so a caller must run ``check_dd`` before it
         derives anything from the rank.
+
+        The rank is weighted: each pivot row counts with the orbit size of
+        its weight.  A checked column has its entries in rows of its own
+        weight, so this sums |S_n . lambda| times the rank of each dominant
+        weight's block.
         """
         key = (i, v)
         got = self._rank.get(key)
@@ -223,8 +447,9 @@ class KoszulOracle:
                 ech.insert(col)
         if i > 1 and (i - 1, v) not in self._rank:
             self._cleared[(i - 1, v)] = set(ech.rows)
-        self._rank[key] = ech.dimension
-        return ech.dimension
+        orbits = self.basis(i - 1, v)[1]
+        rank = self._rank[key] = sum(orbits[j] for j in ech.rows)
+        return rank
 
     def check_dd(self, i: int, v: BiDegree):
         """Assert d_{i-1} . d_i = 0 on the bidegree-v piece, without the product.
@@ -234,9 +459,10 @@ class KoszulOracle:
         +-(x_a x_b m - x_b x_a m): removing a then b and b then a reach the
         same block with opposite signs.  So d.d = 0 exactly when
 
-        * the assembly holds: ``columns(i, v)`` has one column per basis
-          element, holding exactly the entries (-1)^r x_r m of its removals
-          at the offsets of ``basis(i - 1, v)``, and
+        * the assembly holds: ``columns(i, v)`` has one column per kept
+          basis element, holding exactly the entries (-1)^r x_r m of its
+          removals at the indices of ``basis(i - 1, v)``, each in a row of
+          the column's weight, and
         * every square commutes: x_a x_b = x_b x_a on (S/I)_w for each pair
           {a, b} of each block (``QuotientRing.commutes``).  The blocks of
           one exterior bidegree share w, so each (pair, w) is asked once.
@@ -254,13 +480,15 @@ class KoszulOracle:
         fail = AssertionError(f"d.d != 0 at i={i}, v={v}")
         p = ring.field.p
         cols = self.columns(i, v)
-        if len(cols) != self.dimension(i, v):
+        if len(cols) != len(self.basis(i, v)[1]):
             raise fail
         for off, d, removals in self._removals(i, v):
             for pos in range(d):
                 col = cols[off + pos]
                 count = 0
-                for odd, t, mult in removals:
+                for odd, t, (mult, outside) in removals:
+                    if outside:  # an entry in a row of another weight
+                        raise fail
                     entries = mult[pos]
                     count += len(entries)
                     for tpos, c in entries.items():
@@ -278,8 +506,10 @@ class KoszulOracle:
                         raise fail
 
     def release(self, i: int, v: BiDegree):
-        """Drop the columns of d_i in bidegree v; its rank stays cached."""
+        """Drop the columns of d_i in bidegree v, and the removals they were
+        built from; its rank stays cached."""
         self._cols.pop((i, v), None)
+        self._moves.pop((i, v), None)
 
     def betti(self, i: int, v: BiDegree) -> int:
         dim = self.dimension(i, v)
@@ -291,14 +521,22 @@ class KoszulOracle:
         return b
 
 
+def _cores() -> int:
+    """The number of cores this process may run on: its CPU affinity where
+    the platform reports one, else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _bounded_workers(workers: int) -> int:
-    """A worker count clamped to 1..os.cpu_count()."""
-    return max(1, min(workers, os.cpu_count() or 1))
+    """A worker count clamped to 1..``_cores()``."""
+    return max(1, min(workers, _cores()))
 
 
 def default_workers() -> int:
     """The worker count ``MOMENTKOSZUL_THREADS`` sets (1 when unset), clamped
-    to 1..os.cpu_count(); a value that is not an integer is refused."""
+    to 1..``_cores()``; a value that is not an integer is refused."""
     value = os.environ.get("MOMENTKOSZUL_THREADS", "1")
     try:
         workers = int(value)
@@ -315,31 +553,66 @@ def _non_negative(**bounds):
             f"{name}={bound}" for name, bound in bounds.items()))
 
 
-def _swaps_p_and_q(ring: QuotientRing) -> bool:
-    """Whether the swap p_k <-> q_k maps the ideal of ``ring`` into itself:
-    num_p = num_q, and each swapped generator has normal form zero in its
-    bidegree, over the ring's field."""
-    n = ring.num_p
-    if n != ring.num_q:
-        return False
+def _keeps_ideal(ring: QuotientRing, perm) -> bool:
+    """Whether the permutation x_k -> x_{perm[k]} of the variables maps the
+    ideal of ``ring`` into itself: each image of a generator is zero, or
+    bihomogeneous with normal form zero in its bidegree, over the ring's
+    field."""
     for g in ring.generators:
-        swapped = Polynomial.from_dict(n, n, {m[n:] + m[:n]: c for m, c in g.terms})
-        w = swapped.bidegree()
-        if w is not None and any(ring.nf(w, vec) for vec in
-                                 ideal_span_vectors([swapped], w, ring.field)):
+        terms = {}
+        for m, c in g.terms:
+            image = [0] * ring.nvars
+            for k, e in enumerate(m):
+                image[perm[k]] = e
+            terms[tuple(image)] = c
+        image = Polynomial.from_dict(ring.num_p, ring.num_q, terms)
+        w = image.bidegree()
+        if w is None:
+            if image.terms:
+                return False
+        elif any(ring.nf(w, vec) for vec in
+                 ideal_span_vectors([image], w, ring.field)):
             return False
     return True
 
 
-def _bidegree_betti(ring: QuotientRing, task):
+def _swaps_p_and_q(ring: QuotientRing) -> bool:
+    """Whether num_p = num_q and the swap p_k <-> q_k keeps the ideal."""
+    n = ring.num_p
+    return n == ring.num_q and _keeps_ideal(ring, [*range(n, 2 * n), *range(n)])
+
+
+def _torus_grading(ring: QuotientRing, weights) -> _Grading:
+    """The grading by ``weights`` (one weight in Z^n per slot), when every
+    generator is weight-homogeneous over the ring's field and S_n keeps the
+    ideal; else the trivial grading.
+
+    S_n acts on the index of every block of n slots, slot k to
+    n * (k // n) + pi(k mod n), and is generated by the transposition (1 2)
+    and the n-cycle, so those two are checked."""
+    grading = _Grading(ring, weights)
+    n = grading.n
+    homogeneous = all(
+        len({grading.weight(m) for m, c in g.terms if ring.field.of(c)}) <= 1
+        for g in ring.generators)
+    cycles = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []
+    if homogeneous and all(
+            _keeps_ideal(ring, [n * (k // n) + pi[k % n] for k in range(ring.nvars)])
+            for pi in cycles):
+        return grading
+    return _Grading(ring)
+
+
+def _bidegree_betti(ring: QuotientRing, task, grading: _Grading | None = None):
     """``(v, {i: beta_i(v)})`` for ``task = (v, degrees)``, from an oracle
-    that holds the complex of v alone and is dropped on return.
+    that holds the complex of v alone, by ``grading``, and is dropped on
+    return.
 
     One pass per differential, from the top: d_i is d.d-checked, ranked
     with the pivots d_{i+1} left for clearing, and released.  The Betti
     numbers are read after the last check."""
     v, degrees = task
-    oracle = KoszulOracle(ring)
+    oracle = KoszulOracle(ring, grading)
     live = [i for i in degrees if oracle.dimension(i, v)]
     for i in sorted({j for i in live for j in (i, i + 1)}, reverse=True):
         # d_{i+1} was checked and d_i is checked here, before clearing in
@@ -410,6 +683,12 @@ def tor_over_S(f: RepFamily, max_i: int | None = None,
     read off (b, a): the checked swap p_k <-> q_k is a ring automorphism
     that keeps I and carries the complex of (a, b) onto that of (b, a), so
     the two are equal exactly.  Otherwise every bidegree is computed.
+    Within a bidegree, when the ring passes ``_torus_grading`` (every family
+    does), only the basis elements of dominant torus weight are ranked, each
+    counted with the size of its weight's S_n orbit: the checked
+    permutations generate S_n, keep I and carry the complex of one weight
+    onto that of every weight in its orbit, so the count is exact.
+    Otherwise every basis element is ranked and counted once.
     ``workers`` > 1 maps whole bidegrees, d.d checks included, over a fork
     pool; the entries and ``boundary_hits`` are assembled in scan order
     (i, then v) either way, so the result is bit-identical.
@@ -430,12 +709,13 @@ def tor_over_S(f: RepFamily, max_i: int | None = None,
     for i, v in keys:
         scan.setdefault(v, []).append(i)
     mirror = _swaps_p_and_q(ring)
+    grading = _torus_grading(ring, f.torus_weights)
     # a bidegree and its mirror have the same degrees i: the bounds depend
     # on total(v) alone
     tasks = sorted(((v, degrees) for v, degrees in scan.items()
                     if not mirror or v[0] >= v[1]),
                    key=lambda task: -total(task[0]))
-    job = partial(_bidegree_betti, ring)
+    job = partial(_bidegree_betti, ring, grading=grading)
     workers = default_workers() if workers is None else _bounded_workers(workers)
     if workers > 1 and hasattr(os, "fork"):
         betti = dict(_map_on_pool(job, tasks, workers))

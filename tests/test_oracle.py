@@ -20,7 +20,7 @@ from momentkoszul.fields import GF, QQ
 from momentkoszul.ideals import family
 from momentkoszul import ideals, oracle
 from momentkoszul.linalg import Echelon, InvalidInputError, axpy
-from momentkoszul.monomials import bidegrees_up_to_total
+from momentkoszul.monomials import bidegrees_up_to_total, total
 from momentkoszul.oracle import (
     KoszulOracle,
     default_workers,
@@ -246,6 +246,84 @@ def test_a_ring_that_fails_the_swap_check_ranks_every_bidegree(monkeypatch, fld)
     assert table.entries == {key: b for key, b in direct.items() if b}
 
 
+def _direct_table(f, fld):
+    """The entries and boundary hits of ``tor_over_S(f, fld=fld)`` in its
+    default scan, every bidegree ranked whole by ``_direct_betti``."""
+    direct = _direct_betti(f, fld, set(bidegrees_up_to_total(f.num_p + f.num_q + 3)))
+    entries = {key: b for key, b in direct.items() if b}
+    boundary = [(i, v) for i in range(min(projective_dimension(f), f.num_p + f.num_q) + 1)
+                for v in bidegrees_up_to_total(i + 3)
+                if (i, v) in entries and total(v) == i + 3]
+    return entries, boundary
+
+
+# sp_3 runs over F_32003 alone: its whole-bidegree reference takes about 3 s
+# per field
+ORBIT_CASES = [(kind, n, fld) for kind in ("gl", "sl", "so", "sp") for n in (1, 2, 3)
+               for fld in (QQ, GF(32003)) if (kind, n) != ("sp", 3) or fld.p]
+ORBIT_CASES += [(kind, 4, fld) for kind in ("gl", "sl") for fld in (QQ, GF(32003))]
+
+
+@pytest.mark.parametrize("kind, n, fld", ORBIT_CASES, ids=str)
+def test_orbit_weighted_ranks_equal_the_whole_bidegree_ranks(kind, n, fld):
+    # tor_over_S ranks one dominant weight per S_n orbit and counts it with
+    # the orbit's size; ranked whole instead, every entry must come out the same
+    f = family(kind, n)
+    ring = ring_for_family(f, fld)
+    assert oracle._torus_grading(ring, f.torus_weights).n == n
+    table = tor_over_S(f, fld=fld, workers=1)
+    entries, boundary = _direct_table(f, fld)
+    assert table.entries == entries
+    assert table.boundary_hits == boundary
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(32003)], ids=str)
+def test_a_ring_that_fails_the_permutation_check_is_ranked_whole(monkeypatch, fld):
+    # sl_3 without p1*q2 keeps p2*q1 and p3*q1; the transposition (1 2) sends
+    # the first and the 3-cycle the second to p1*q2, which is not in I
+    p1q2 = Polynomial.from_dict(3, 3, {(1, 0, 0, 0, 1, 0): 1})
+    real = ideals.generators
+    monkeypatch.setattr(ideals, "generators",
+                        lambda f: [g for g in real(f) if g != p1q2])
+    f = family("sl", 3)
+    ring = ring_for_family(f, fld)
+    assert len(ring.generators) == 7
+    assert not oracle._keeps_ideal(ring, [1, 0, 2, 4, 3, 5])
+    assert not oracle._keeps_ideal(ring, [1, 2, 0, 4, 5, 3])
+    assert oracle._torus_grading(ring, f.torus_weights).n == 0
+    weight_dims = set()  # n of the weights Z^n of every oracle
+    basis = KoszulOracle.basis
+
+    def recording_basis(self, i, v):
+        weight_dims.add(self.grading.n)
+        return basis(self, i, v)
+
+    monkeypatch.setattr(KoszulOracle, "basis", recording_basis)
+    table = tor_over_S(f, fld=fld, workers=1)
+    assert weight_dims == {0}
+    entries, boundary = _direct_table(f, fld)
+    assert table.entries == entries
+    assert table.boundary_hits == boundary
+
+
+def test_tor_ranks_a_fraction_of_the_columns_of_gl4(monkeypatch):
+    built = []
+    columns = KoszulOracle.columns
+
+    def counting_columns(self, i, v):
+        fresh = (i, v) not in self._cols
+        cols = columns(self, i, v)
+        if fresh:
+            built.append(len(cols))
+        return cols
+
+    monkeypatch.setattr(KoszulOracle, "columns", counting_columns)
+    tor_over_S(family("gl", 4), workers=1)
+    # 9,476 when every bidegree with a >= b is ranked whole; 1,347 with one
+    # dominant weight per S_4 orbit
+    assert sum(built) <= 2000
+
+
 def test_parallel_workers_are_bit_identical():
     f = family("sl", 2)
     a = tor_over_S(f, workers=1)
@@ -256,7 +334,19 @@ def test_parallel_workers_are_bit_identical():
 
 def test_worker_count_from_environment_is_clamped(monkeypatch):
     monkeypatch.setenv("MOMENTKOSZUL_THREADS", "1000000")
-    assert default_workers() == (os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        assert default_workers() == len(os.sched_getaffinity(0))
+    else:
+        assert default_workers() == (os.cpu_count() or 1)
+
+
+def test_workers_are_clamped_to_the_cores_the_process_may_use(monkeypatch):
+    # os.cpu_count() counts the machine's cores, not the ones this process
+    # is allowed to run on
+    monkeypatch.setenv("MOMENTKOSZUL_THREADS", "8")
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert default_workers() == 1
 
 
 def test_explicit_worker_count_is_clamped(monkeypatch):
@@ -264,6 +354,7 @@ def test_explicit_worker_count_is_clamped(monkeypatch):
         raise AssertionError("a pool was started")
 
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(oracle, "_map_on_pool", no_pool)
     table = tor_over_S(family("gl", 1), workers=1000000)
     assert table.entries == tor_over_S(family("gl", 1), workers=1).entries
@@ -579,6 +670,52 @@ def test_d_squared_catches_a_cleared_column_under_python_O():
 
 
 REAL_MULT_BY_VAR = QuotientRing.mult_by_var
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_d_squared_catches_a_flipped_sign_in_a_kept_column(monkeypatch, workers):
+    f = family("sl", 3)
+    ring = ring_for_family(f)
+    kept = KoszulOracle(ring, oracle._torus_grading(ring, f.torus_weights))
+    i, v = 2, (2, 1)
+    cols = kept.columns(i, v)
+    assert len(cols) < kept.dimension(i, v)
+    j = next(j for j, col in enumerate(cols) if col)
+    monkeypatch.setattr(KoszulOracle, "columns", column_with_a_flipped_sign(
+        KoszulOracle.columns, i, v, j))
+    with pytest.raises(AssertionError, match=r"d\.d != 0 at i=2, v=\(2, 1\)"):
+        tor_over_S(f, workers=workers)
+
+
+def moved_to_another_weight(f, x: int, w):
+    """A ``mult_by_var`` whose (x, w) map, when first built, has the entry at
+    the smallest row of its first nonzero column moved to a free row of
+    another torus weight."""
+    def one_moved_entry(self, y, u):
+        fresh = (y, u) not in self._mult
+        cols = REAL_MULT_BY_VAR(self, y, u)
+        if fresh and (y, u) == (x, w):
+            grading = oracle._Grading(self, f.torus_weights)
+            up = (w[0] + 1, w[1]) if x < self.num_p else (w[0], w[1] + 1)
+            weights = [grading.weight(m) for m in self.piece(up).basis]
+            col = next(col for col in cols if col)
+            row = min(col)
+            other = next(r for r, wt in enumerate(weights)
+                         if wt != weights[row] and r not in col)
+            col[other] = col.pop(row)
+        return cols
+
+    return one_moved_entry
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_d_squared_catches_an_entry_in_a_row_of_another_weight(monkeypatch, workers):
+    # every square passes, so only the assembly check can find the entry
+    f = family("sl", 3)
+    monkeypatch.setattr(QuotientRing, "mult_by_var", moved_to_another_weight(f, 0, (1, 0)))
+    monkeypatch.setattr(QuotientRing, "commutes", lambda self, x, y, v: True)
+    with pytest.raises(AssertionError, match=r"d\.d != 0"):
+        tor_over_S(f, workers=workers)
 
 
 def corrupted_mult(x: int, w):
