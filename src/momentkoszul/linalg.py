@@ -168,6 +168,25 @@ def rank_of_vectors(vectors, fld: Field = QQ) -> int:
     return ech.dimension
 
 
+def _row_echelon(columns, p: int | None) -> Echelon:
+    """Forward echelon form of the rows of the matrix whose column j is
+    ``columns[j]``: row r holds ``columns[j][r]`` at index j."""
+    rows: dict[int, dict] = {}
+    for j, col in enumerate(columns):
+        for r, c in col.items():
+            rows.setdefault(r, {})[j] = c
+    ech = Echelon(p)
+    for row in rows.values():
+        ech.insert(row)
+    return ech
+
+
+def rank_of_columns(columns, fld: Field = QQ) -> int:
+    """Rank of the matrix whose column j is ``columns[j]``, by the forward
+    row elimination of ``kernel_of_columns``, with no back-substitution."""
+    return _row_echelon(columns, fld.p).dimension
+
+
 def kernel_of_columns(columns, fld: Field = QQ) -> list[dict]:
     """Kernel basis of the map sending unit vector j to ``columns[j]``.
 
@@ -175,18 +194,11 @@ def kernel_of_columns(columns, fld: Field = QQ) -> list[dict]:
     ``e_f - sum_p R[p][f] e_p`` over the pivots p.  Vectors come in
     increasing f, with field-element entries.
     """
-    rows: dict[int, dict] = {}
-    for j, col in enumerate(columns):
-        for r, c in col.items():
-            rows.setdefault(r, {})[j] = c
     p = fld.p
-    ech = Echelon(p)
-    for row in rows.values():
-        ech.insert(row)
+    ech = _row_echelon(columns, p)
     kernel = {f: {f: 1} for f in range(len(columns)) if f not in ech.rows}
     for row in ech.canonical_rows():
         piv = row[0][0]
         for f, x in row[1:]:
             kernel[f][piv] = -x if p is None else p - x
     return list(kernel.values())
-

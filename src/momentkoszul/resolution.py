@@ -46,8 +46,20 @@ for m = 1, and for m != 1 x times the column of (h, m/x), where x is the
 first variable dividing m.  The quotient basis is the set of standard
 monomials, closed under division, so m/x is a basis monomial one total
 degree lower and its column was built in an earlier degree.  The columns
-of a degree are dropped once both of their variable multiples are built,
-and those of the top total degree are never kept.
+of a degree, and the blocks of every module's basis in it, are dropped once
+both of their variable multiples are built; the columns of the top total
+degree are never kept.  Multiplication by x out of degree u is bound once
+per (x, u) in the degree being built (``_multiplier``): the basis positions
+of u and u + deg x and x's maps on the quotient pieces are looked up once
+for all the vectors it multiplies, and a zero column needs no product.
+
+In the top total degree nothing is read later, so the steps only count:
+a middle step takes the rank of its columns from the forward row
+elimination alone (``linalg.rank_of_columns``), runs the rank check of 2,
+and hands dim K_v - rank generators and the next dim K_v, the number of
+columns minus the rank, on; the last step counts dim K_v minus the
+dimension of the variable span.  No kernel basis is read off and no
+generator is chosen there.
 
 Minimality (no unit entry in any presentation) is checked on every chosen
 vector and raises ``AssertionError`` even under ``python -O``.  That covers
@@ -58,7 +70,8 @@ the rank-first step only skips the span when (m.K)_v = K_v, where nothing
 is chosen, and the multiplicative variables span all of the multiples.  The
 chosen vectors are read off the kernel's elimination and the span is a
 second elimination, of the columns, so the check cross-checks the two; where
-the span is skipped, the rank check compares the two eliminations instead.
+the span is skipped, and in the top total degree, where nothing is chosen,
+the rank check compares the two eliminations instead.
 
 Everything read in degree v lies in degrees componentwise <= v, so
 generators above the bounds cannot influence Betti numbers inside them: the
@@ -71,7 +84,12 @@ from __future__ import annotations
 from .betti import BettiTable
 from .fields import QQ, Field
 from .ideals import RepFamily
-from .linalg import Echelon, InvalidInputError, kernel_of_columns
+from .linalg import (
+    Echelon,
+    InvalidInputError,
+    kernel_of_columns,
+    rank_of_columns,
+)
 from .monomials import (
     BiDegree,
     basis_index,
@@ -119,18 +137,28 @@ class _Module:
             owners.append((gi, (0, 0), 0))
         self.gens.extend([v] * count)
 
-    def multiply_by_var(self, x: int, v: BiDegree, vec: dict) -> dict:
-        """Image in degree v + deg(x) of a degree-v element under variable x."""
-        ring = self.ring
-        p = ring.field.p
-        e = ring.var_bidegree(x)
-        owners = self.blocks(v)[1]
-        offsets = self.blocks((v[0] + e[0], v[1] + e[1]))[0]
+
+def _multiplier(module: _Module, x: int, u: BiDegree):
+    """Multiplication by variable x from degree u of ``module`` to degree
+    u + deg x, bound once for every vector of u: the owners of u, the offsets
+    of u + deg x, the field's p and x's map out of each quotient degree met.
+    """
+    ring = module.ring
+    p = ring.field.p
+    e = ring.var_bidegree(x)
+    owners = module.blocks(u)[1]
+    offsets = module.blocks((u[0] + e[0], u[1] + e[1]))[0]
+    maps: dict[BiDegree, list[dict]] = {}
+
+    def multiply(vec: dict) -> dict:
         out: dict[int, object] = {}
         get = out.get
         for pos, c in vec.items():
             gi, rest, inner = owners[pos]
-            col = ring.mult_by_var(x, rest)[inner]
+            cols = maps.get(rest)
+            if cols is None:
+                cols = maps[rest] = ring.mult_by_var(x, rest)
+            col = cols[inner]
             if not col:
                 continue
             # a generator's terms land in its block of the target degree
@@ -146,19 +174,20 @@ class _Module:
                     del out[k]
         return out
 
+    return multiply
+
 
 def _first_divisions(ring: QuotientRing, w: BiDegree) -> list[tuple]:
-    """(x, deg x, k) for each basis monomial m of degree w: x is the first
-    variable dividing m, and m/x is basis monomial k of degree w - deg x."""
+    """(x, k) for each basis monomial m of degree w: x is the first variable
+    dividing m, and m/x is basis monomial k of degree w - deg x."""
     out = []
     for mono in ring.piece(w).basis:
         x = next(y for y, e in enumerate(mono) if e)
-        e_x = ring.var_bidegree(x)
-        lower = sub_bidegrees(w, e_x)
+        lower = sub_bidegrees(w, ring.var_bidegree(x))
         below = mono[:x] + (mono[x] - 1,) + mono[x + 1:]
         k = ring.piece(lower).positions[
             basis_index(ring.num_p, ring.num_q, lower)[below]]
-        out.append((x, e_x, k))
+        out.append((x, k))
     return out
 
 
@@ -172,19 +201,23 @@ def _lower_columns(ring: QuotientRing, module: _Module, next_module: _Module,
     dividing m.  Each is a vector over module's basis in degree v.
     """
     columns = []
-    # deg x -> (u = v - deg x, the columns built in u, their block offsets)
-    below: dict[BiDegree, tuple] = {}
+    # x -> (multiplication by x from u = v - deg x, the columns built in u,
+    # their block offsets)
+    below: dict[int, tuple] = {}
     for gi, rest, inner in next_module.blocks(v)[1]:
         got = divisions.get(rest)
         if got is None:
             got = divisions[rest] = _first_divisions(ring, rest)
-        x, e_x, k = got[inner]
-        lower = below.get(e_x)
+        x, k = got[inner]
+        lower = below.get(x)
         if lower is None:
-            u = sub_bidegrees(v, e_x)
-            lower = below[e_x] = (u, built[u], next_module.blocks(u)[0])
-        u, cols, offsets = lower
-        columns.append(module.multiply_by_var(x, u, cols[offsets[gi] + k]))
+            u = sub_bidegrees(v, ring.var_bidegree(x))
+            lower = below[x] = (_multiplier(module, x, u), built[u],
+                                next_module.blocks(u)[0])
+        multiply, cols, offsets = lower
+        col = cols[offsets[gi] + k]
+        # x.0 = 0
+        columns.append(multiply(col) if col else {})
     return columns
 
 
@@ -237,11 +270,15 @@ def _variable_span(module: _Module, basis: dict, v: BiDegree, dim: int,
     grown = []
     for x in range(ring.nvars):
         u = sub_bidegrees(v, ring.var_bidegree(x))
-        for b, label in basis.get(u, ()):
+        lower = basis.get(u)
+        if not lower:
+            continue
+        multiply = _multiplier(module, x, u)
+        for b, label in lower:
             if span.dimension == dim:
                 return span, grown
             if label >= x:
-                vec = module.multiply_by_var(x, u, b)
+                vec = multiply(b)
                 if span.insert(vec):
                     grown.append((vec, x))
     return span, grown
@@ -265,46 +302,57 @@ def resolve_k_over_quotient(f: RepFamily, max_i: int, max_total_degree: int,
     basis: dict[BiDegree, list[tuple[dict, int]]] = {}
     divisions: dict[BiDegree, list[tuple]] = {}
     for v in bidegrees_up_to_total(max_total_degree):
-        # nothing reads the columns or basis of the top total degree
+        # the top total degree only counts: nothing reads its kernel bases,
+        # columns or chosen generators
         keep = total(v) < max_total_degree
-        # kernel of the augmentation F_0 = R -> k
-        kvecs = [{k: 1} for k in range(ring.dim(v))] if v != (0, 0) else []
+        # kernel of the augmentation F_0 = R -> k; kvecs is a basis of K_v
+        # where it is kept
+        dim = ring.dim(v) if v != (0, 0) else 0
+        kvecs = [{k: 1} for k in range(dim)] if keep else []
         for step in range(1, max_i + 1):
             module = modules[step - 1]
-            owners = module.blocks(v)[1]
             if step == max_i:
                 # no next kernel to build: (m.K)_v is spanned by the
                 # variable multiples x.K_{v - deg x}
-                span, grown = _variable_span(module, basis, v, len(kvecs),
-                                             fld.p)
-                chosen = _complement(kvecs, span, owners, step, v)
+                span, grown = _variable_span(module, basis, v, dim, fld.p)
+                count = dim - span.dimension
                 if keep:
+                    chosen = _complement(kvecs, span, module.blocks(v)[1],
+                                         step, v)
                     basis[v] = grown + [(kv, ring.nvars) for kv in chosen]
                 basis.pop((v[0], v[1] - 1), None)
             else:
                 next_module, step_built = modules[step], built[step - 1]
                 columns = _lower_columns(ring, module, next_module,
                                          step_built, v, divisions)
-                kernel = kernel_of_columns(columns, fld) if columns else []
-                rank = len(columns) - len(kernel)
-                if rank > len(kvecs):
+                if keep:
+                    kernel = kernel_of_columns(columns, fld) if columns else []
+                    rank = len(columns) - len(kernel)
+                else:
+                    rank = rank_of_columns(columns, fld)
+                if rank > dim:
                     raise AssertionError(
                         f"columns of rank {rank} in a kernel of dimension "
-                        f"{len(kvecs)} at step {step}, degree {v}")
-                chosen = []
-                if rank < len(kvecs):
-                    chosen = _complement(kvecs,
-                                         _column_span(columns, rank, fld.p),
-                                         owners, step, v)
-                    next_module.add_generators(v, len(chosen))
-                    columns += chosen
-                if columns and keep:
-                    step_built[v] = columns
+                        f"{dim} at step {step}, degree {v}")
+                count = dim - rank
+                dim = len(columns) - rank
+                if keep:
+                    if count:
+                        chosen = _complement(
+                            kvecs, _column_span(columns, rank, fld.p),
+                            module.blocks(v)[1], step, v)
+                        next_module.add_generators(v, len(chosen))
+                        columns += chosen
+                    if columns:
+                        step_built[v] = columns
+                    kvecs = kernel
                 # degree u is read at u + (1, 0) and, last, at u + (0, 1) = v
                 step_built.pop((v[0], v[1] - 1), None)
-                kvecs = kernel
-            if chosen:
-                entries[(step, v)] = len(chosen)
+            if count:
+                entries[(step, v)] = count
+        # nothing reads degree v - (0, 1) after v
+        for module in modules:
+            module._blocks.pop((v[0], v[1] - 1), None)
     # generators on the window edge: the next steps may have syzygies just
     # outside; the caller must widen to trust them
     boundary = sorted(key for key in entries

@@ -241,3 +241,18 @@ def dropped_kernel_vector(real):
         return out
 
     return kernel
+
+
+def raised_rank(real):
+    """A ``rank_of_columns`` that returns one more than the rank on its first
+    call, as if its columns held a vector outside the kernel below."""
+    done = []
+
+    def rank(columns, fld):
+        out = real(columns, fld)
+        if not done:
+            done.append(out)
+            out += 1
+        return out
+
+    return rank

@@ -11,6 +11,7 @@ from momentkoszul.linalg import (
     Echelon,
     InvalidInputError,
     kernel_of_columns,
+    rank_of_columns,
     rank_of_vectors,
 )
 from momentkoszul.oracle import KoszulOracle
@@ -212,6 +213,23 @@ def test_independent_columns_leave_the_kernel_unchanged(p, columns, extra):
     appended = [vec for vec in map(vector, extra) if span.insert(vec)]
     assert (kernel_of_columns(cols + appended, fld)
             == kernel_of_columns(cols, fld))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([None, 7, P]),
+       st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+                max_size=7))
+def test_rank_of_columns_is_the_rank_the_kernel_leaves(p, columns):
+    # the resolution's top total degree counts with the rank alone; it must
+    # be the number of columns minus the kernel's dimension, and the rank
+    # of the columns inserted as vectors
+    fld = QQ if p is None else GF(p)
+    cols = [{j: x % p if p else x for j, x in enumerate(entries)
+             if (x % p if p else x)} for entries in columns]
+    rank = rank_of_columns(cols, fld)
+    assert rank == len(cols) - len(kernel_of_columns(cols, fld))
+    assert rank == rank_of_vectors(cols, fld)
+    assert rank == brute_rank(columns, p)
 
 
 def test_results_hold_no_integral_fraction():

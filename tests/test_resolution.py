@@ -25,6 +25,7 @@ from momentkoszul.verify import table_poincare_totals
 
 from helpers import (
     dropped_kernel_vector,
+    raised_rank,
     series_coeffs_one_var,
     unit_entry_complement,
 )
@@ -167,20 +168,31 @@ def test_benchmark_windows_keep_their_tables(window):
         assert t.boundary_hits == [], fld
 
 
+def _count_products(monkeypatch) -> list:
+    """Counts every product vector of the resolution's bound multipliers."""
+    real = resolution._multiplier
+    products = []
+
+    def multiplier(module, x, u):
+        multiply = real(module, x, u)
+
+        def counted(vec):
+            products.append(1)
+            return multiply(vec)
+
+        return counted
+
+    monkeypatch.setattr(resolution, "_multiplier", multiplier)
+    return products
+
+
 def test_resolution_builds_each_multiple_of_sp2_once(monkeypatch):
     # every step but the last reads (m.K)_v off the columns of d_step it
     # builds anyway; building the variable multiples x.K_{v - deg x} as well
     # took 61,392 products on sp_2 (4, 6)
-    real = resolution._Module.multiply_by_var
-    calls = []
-
-    def counted(self, x, v, vec):
-        calls.append(1)
-        return real(self, x, v, vec)
-
-    monkeypatch.setattr(resolution._Module, "multiply_by_var", counted)
+    products = _count_products(monkeypatch)
     resolve_k_over_quotient(family("sp", 2), 4, 6)
-    assert len(calls) <= 50_000, f"{len(calls)} multiply_by_var calls"
+    assert 0 < len(products) <= 50_000, f"{len(products)} products"
 
 
 def test_resolution_refuses_a_negative_total_degree_bound():
@@ -271,8 +283,7 @@ def test_resolution_wastes_few_eliminations_on_sp2(monkeypatch):
     # middle step with no new generator takes K_v off the kernel of its
     # columns: 28,745 failed inserts and 44,314 products before
     real_insert = resolution.Echelon.insert
-    real_multiply = resolution._Module.multiply_by_var
-    failed, products = [], []
+    failed = []
 
     def counted_insert(self, vec):
         grew = real_insert(self, vec)
@@ -280,16 +291,11 @@ def test_resolution_wastes_few_eliminations_on_sp2(monkeypatch):
             failed.append(1)
         return grew
 
-    def counted_multiply(self, x, v, vec):
-        products.append(1)
-        return real_multiply(self, x, v, vec)
-
     monkeypatch.setattr(resolution.Echelon, "insert", counted_insert)
-    monkeypatch.setattr(resolution._Module, "multiply_by_var",
-                        counted_multiply)
+    products = _count_products(monkeypatch)
     resolve_k_over_quotient(family("sp", 2), 4, 6)
     assert len(failed) <= 18_000, f"{len(failed)} failed inserts"
-    assert len(products) <= 40_000, f"{len(products)} multiply_by_var calls"
+    assert 0 < len(products) <= 40_000, f"{len(products)} products"
 
 
 @pytest.mark.parametrize("kind,n,max_i,max_total",
@@ -399,3 +405,78 @@ def test_rank_check_survives_python_O():
     assert proc.returncode == 1
     assert ("AssertionError: columns of rank 4 in a kernel of dimension 3 "
             "at step 1, degree (2, 0)") in proc.stderr
+
+
+def test_top_degree_rank_check_catches_columns_outside_the_kernel(monkeypatch):
+    # sl_2 (3, 2): total degree 2 is the top one, so step 1 at (2, 0) only
+    # ranks its four columns; the rank check runs there too.  (That the
+    # counting route of the top degree agrees with the full route is
+    # test_degree_windows_are_exact: the window one degree lower counts
+    # what the full window computes.)
+    monkeypatch.setattr(resolution, "rank_of_columns",
+                        raised_rank(resolution.rank_of_columns))
+    with pytest.raises(AssertionError,
+                       match=r"columns of rank 4 in a kernel of dimension 3 "
+                             r"at step 1, degree \(2, 0\)"):
+        resolve_k_over_quotient(family("sl", 2), 3, 2)
+
+
+def test_top_degree_rank_check_survives_python_O():
+    tests = Path(__file__).parent
+    script = (
+        "assert False, 'asserts are on'\n"
+        "import momentkoszul.resolution as r\n"
+        "from momentkoszul.ideals import family\n"
+        "from helpers import raised_rank\n"
+        "r.rank_of_columns = raised_rank(r.rank_of_columns)\n"
+        "r.resolve_k_over_quotient(family('sl', 2), 3, 2)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert ("AssertionError: columns of rank 4 in a kernel of dimension 3 "
+            "at step 1, degree (2, 0)") in proc.stderr
+
+
+@pytest.mark.parametrize("kind,n,max_i,max_total",
+                         [("sl", 3, 5, 7), ("sp", 2, 4, 6)],
+                         ids=["sl_3", "sp_2"])
+def test_top_degree_only_counts(monkeypatch, kind, n, max_i, max_total):
+    # the top total degree reads its Betti numbers off ranks alone: no
+    # kernel basis and no generator choice, but a rank (and its check) at
+    # every middle step and degree.  test_degree_windows_are_exact compares
+    # this counting route with the full route, one total degree higher.
+    real_lower, real_kernel, real_rank, real_complement = (
+        resolution._lower_columns, resolution.kernel_of_columns,
+        resolution.rank_of_columns, resolution._complement)
+    current, kernels, ranks, complements = [], [], [], []
+
+    def lower_columns(ring, module, next_module, built, v, divisions):
+        current[:] = [(id(module), v)]
+        return real_lower(ring, module, next_module, built, v, divisions)
+
+    def kernel(columns, fld):
+        kernels.append(current[0])
+        return real_kernel(columns, fld)
+
+    def rank(columns, fld):
+        ranks.append(current[0])
+        return real_rank(columns, fld)
+
+    def complement(kvecs, span, owners, step, v):
+        complements.append(v)
+        return real_complement(kvecs, span, owners, step, v)
+
+    monkeypatch.setattr(resolution, "_lower_columns", lower_columns)
+    monkeypatch.setattr(resolution, "kernel_of_columns", kernel)
+    monkeypatch.setattr(resolution, "rank_of_columns", rank)
+    monkeypatch.setattr(resolution, "_complement", complement)
+    resolve_k_over_quotient(family(kind, n), max_i, max_total)
+    assert kernels and complements
+    assert all(total(v) < max_total for _, v in kernels)
+    assert all(total(v) < max_total for v in complements)
+    assert {v for _, v in ranks} == {v for v in bidegrees_up_to_total(max_total)
+                                     if total(v) == max_total}
+    assert len(ranks) == len(set(ranks)) == (max_i - 1) * (max_total + 1)
