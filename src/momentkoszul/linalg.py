@@ -13,10 +13,11 @@ plain int arithmetic with no method call per scalar.
   copies its vector without reducing it, so, as for ``axpy``, its entries
   must be nonzero field elements; an entry that is zero in the field raises
   ``InvalidInputError`` instead of stalling the elimination.  Insertion
-  reduces forward only; ``reduce`` and ``canonical_rows`` back-substitute once,
-  on demand, to the reduced row-echelon form, which is a canonical invariant
-  of the subspace for the fixed index order.  Their results hold no integral
-  ``Fraction``: back-substitution over QQ can leave one, so both convert it.
+  reduces forward only; ``reduced_rows`` back-substitutes once, on demand, to
+  the reduced row-echelon form, which is a canonical invariant of the
+  subspace for the fixed index order, and ``reduce`` and ``canonical_rows``
+  read it.  They hold no integral ``Fraction``: axpy over QQ can leave one,
+  so ``reduced_rows`` and ``reduce`` convert it.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class Echelon:
     """Row-echelon form of a subspace; ``p is None`` means QQ, else F_p.
 
     ``rows`` maps pivot index -> row with entry 1 at the pivot and no entry
-    below it.  After ``reduce`` or ``canonical_rows`` the rows are fully
+    below it.  After ``reduced_rows`` (or ``reduce``) the rows are fully
     reduced: no row has an entry in another row's pivot column.
     """
 
@@ -130,34 +131,37 @@ class Echelon:
         self._reduced = False
         return True
 
-    def _back_substitute(self):
-        """Clear every pivot column outside its own row, highest pivot first."""
-        if self._reduced:
-            return
+    def reduced_rows(self) -> dict[int, dict]:
+        """``rows`` in reduced row-echelon form, back-substituted once, on
+        demand, highest pivot first, with no integral ``Fraction``; callers
+        only read them."""
         rows, p = self.rows, self.p
-        for piv in sorted(rows, reverse=True):
-            row = rows[piv]
-            # rows[k] for k > piv is already reduced, so clearing column k
-            # never touches another pivot column of this row
-            for k in [k for k in row if k != piv and k in rows]:
-                axpy(row, -row[k], rows[k], p)
-        self._reduced = True
+        if not self._reduced:
+            for piv in sorted(rows, reverse=True):
+                row = rows[piv]
+                # rows[k] for k > piv is already reduced, so clearing column k
+                # never touches another pivot column of this row
+                for k in [k for k in row if k != piv and k in rows]:
+                    axpy(row, -row[k], rows[k], p)
+            if p is None:
+                for piv, row in rows.items():
+                    rows[piv] = self._plain_ints(row)
+            self._reduced = True
+        return rows
 
     def reduce(self, vec: dict) -> dict:
         """Canonical remainder of ``vec``: equal for vectors congruent modulo
         the span, with no entry in a pivot column."""
-        self._back_substitute()
+        rows, p = self.reduced_rows(), self.p
         vec = self._clean(vec)
-        rows, p = self.rows, self.p
         for j in [j for j in vec if j in rows]:
             axpy(vec, -vec[j], rows[j], p)
         return self._plain_ints(vec)
 
     def canonical_rows(self) -> tuple[tuple[tuple[int, object], ...], ...]:
         """Reduced rows, sorted by pivot, entries sorted by index."""
-        self._back_substitute()
-        return tuple(tuple(sorted(self._plain_ints(self.rows[piv]).items()))
-                     for piv in sorted(self.rows))
+        rows = self.reduced_rows()
+        return tuple(tuple(sorted(rows[piv].items())) for piv in sorted(rows))
 
 
 def rank_of_vectors(vectors, fld: Field = QQ) -> int:

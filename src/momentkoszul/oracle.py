@@ -22,14 +22,17 @@ The d.d check does not multiply the two differentials.  On the column
 +-(x_a x_b - x_b x_a) m, so it vanishes exactly when the differential is
 assembled with those signs and every square x_a x_b = x_b x_a commutes on the
 quotient piece of m.  ``check_dd`` verifies every entry of the assembled
-differential against the multiplication maps, and each square once per ring;
-the lower differential is built only where it is ranked.
+differential against the multiplication maps, composes the squares by lookup
+(maps read off the reduced rows, a column {k: 1} composed by reference) and
+asks each (pair set, w) once per ``tor_over_S`` call; the lower differential
+is built only where it is ranked.
 
 ``tor_over_S`` works one bidegree v at a time: a fresh ``KoszulOracle``
 builds, ranks and d.d-checks the complex of v and is dropped before the next
-v, serially or in a fork-pool worker.  Only the quotient ring's pieces,
-multiplication maps and checked squares stay cached across bidegrees, until
-the call returns.
+v, serially or in a fork-pool worker.  Only the quotient ring's pieces and
+multiplication maps, and the grading's classes and checked squares, stay
+cached across bidegrees, until the call returns; a pool worker keeps its own
+copy of each.
 
 When the ring passes ``_swaps_p_and_q``, only the bidegrees (a, b) with
 a >= b are ranked, and beta_i(a, b) for a < b is read off (b, a).  The check
@@ -86,7 +89,6 @@ vector of the first nonzero kernel.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from collections import Counter
 from functools import cache, partial
@@ -221,6 +223,8 @@ class _Grading:
                             for wt in weights or ((),) * ring.nvars)
         self._pieces: dict[BiDegree, dict[int, _Class]] = {}
         self._kept: dict[BiDegree, dict[int, tuple]] = {}
+        self._squared: set[tuple[BiDegree, BiDegree]] = set()
+        self._commuting: dict[BiDegree, set[tuple[int, int]]] = {}
 
     def weight(self, exponents) -> int:
         """The packed weight of the monomial with these exponents."""
@@ -256,6 +260,24 @@ class _Grading:
                     got.append(_Kept(eps_weight + mu, cls, [orbit] * len(cls.positions)))
             got = by_weight[eps_weight] = tuple(got)
         return got
+
+    def squares_commute(self, e: BiDegree, pairs, w: BiDegree) -> bool:
+        """Whether x_a x_b = x_b x_a on (S/I)_w for every pair {a, b} in
+        ``pairs``, the pair set of the exterior bidegree e.
+
+        Each (e, w) is asked of the ring once, and each pair found to
+        commute on (S/I)_w is recorded, so ``QuotientRing.commutes`` runs at
+        most once per (a, b, w) for the life of the grading."""
+        if (e, w) in self._squared:
+            return True
+        done = self._commuting.setdefault(w, set())
+        for ab in pairs:
+            if ab not in done:
+                if not self.ring.commutes(*ab, w):
+                    return False
+                done.add(ab)
+        self._squared.add((e, w))
+        return True
 
     def move(self, x: int, w: BiDegree, cls: _Class) -> tuple:
         """Multiplication by x on the class ``cls`` of (S/I)_w, as
@@ -465,7 +487,10 @@ class KoszulOracle:
           the column's weight, and
         * every square commutes: x_a x_b = x_b x_a on (S/I)_w for each pair
           {a, b} of each block (``QuotientRing.commutes``).  The blocks of
-          one exterior bidegree share w, so each (pair, w) is asked once.
+          one exterior bidegree e share w and the pair set of e, and
+          ``_Grading.squares_commute`` asks each (e, w) once and composes
+          each square once per ``tor_over_S`` call, however many bidegrees
+          v reach it.
 
         This covers what the matrix product covers: built from the same
         multiplication maps, the product is zero exactly when those squares
@@ -500,10 +525,8 @@ class KoszulOracle:
                     raise fail
         for e, pairs in _exterior_table(ring.nvars, ring.num_p, i).pairs.items():
             w = sub_bidegrees(v, e)
-            if ring.dim(w):
-                for a, b in pairs:
-                    if not ring.commutes(a, b, w):
-                        raise fail
+            if ring.dim(w) and not self.grading.squares_commute(e, pairs, w):
+                raise fail
 
     def release(self, i: int, v: BiDegree):
         """Drop the columns of d_i in bidegree v, and the removals they were
@@ -644,7 +667,10 @@ def _map_on_pool(job, tasks, workers: int) -> list:
     worker ends between tasks.  ``Pool.terminate`` kills the workers
     wherever they are: one killed while it writes a result keeps the
     result queue's lock, and the pool's task thread then waits on that
-    lock for good.  Only an interrupt still terminates the pool."""
+    lock for good.  Only an interrupt still terminates the pool.
+    ``multiprocessing`` is imported here, since only a pool needs it."""
+    import multiprocessing
+
     ctx = multiprocessing.get_context("fork")
     pool = ctx.Pool(workers, initializer=_set_worker_job, initargs=(job,))
     try:
@@ -676,8 +702,8 @@ def tor_over_S(f: RepFamily, max_i: int | None = None,
     Only then are the beta_i(v) computed, because a cleared rank is right
     only where d.d = 0.  The oracle is then dropped, so its bases and
     ranks live only while v is computed, and the columns of one
-    differential at a time.  The quotient ring's pieces, multiplication
-    maps and checked squares stay cached for the whole call.
+    differential at a time.  The quotient ring's pieces and multiplication
+    maps, and the grading's checked squares, stay cached for the whole call.
     When the ring passes ``_swaps_p_and_q`` (every family does), only the
     bidegrees (a, b) with a >= b are computed, and beta_i(a, b) for a < b is
     read off (b, a): the checked swap p_k <-> q_k is a ring automorphism

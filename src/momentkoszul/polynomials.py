@@ -9,6 +9,7 @@ only when a matrix is assembled.  The ambient is the pair (num_p, num_q).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .linalg import InvalidInputError
 from .monomials import BiDegree, Monomial, bidegree_of, multiply_monomials
@@ -34,15 +35,17 @@ class Polynomial:
         return not self.terms
 
     def is_bihomogeneous(self) -> bool:
-        degs = {bidegree_of(m, self.num_p) for m, _ in self.terms}
-        return len(degs) <= 1
+        return not self.terms or self.bidegree() is not None
 
     def bidegree(self) -> BiDegree | None:
         """Common bidegree of all terms, or None for 0 / inhomogeneous input."""
+        return self._bidegree
+
+    @cached_property
+    def _bidegree(self) -> BiDegree | None:
+        # computed once: the polynomial is frozen
         degs = {bidegree_of(m, self.num_p) for m, _ in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+        return degs.pop() if len(degs) == 1 else None
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1

@@ -9,6 +9,11 @@ is closed under division.  Everything is cached per ring and computed
 lazily; all choices are canonical for the fixed monomial order, so repeated
 runs produce identical matrices.
 
+The multiplication maps are read off the reduced rows, not reduced: x times
+a standard monomial is either standard, its own coordinate, or a pivot
+monomial j, which is congruent to minus the reduced row of j without its
+pivot.  ``commutes`` composes two maps by lookup where a column is {k: 1}.
+
 ``QuotientRing.piece`` is the one route to (S/I)_v and its dimension.  A
 ``QuotientPiece`` holds the echelon of I_v (``rref``), the standard monomials
 in canonical order (``basis``) and the map from ambient index to quotient
@@ -57,7 +62,6 @@ class QuotientRing:
         self.field = fld
         self._pieces: dict[BiDegree, QuotientPiece] = {}
         self._mult: dict[tuple[int, BiDegree], list[dict[int, object]]] = {}
-        self._commutes: dict[tuple[int, int, BiDegree], bool] = {}
 
     @property
     def nvars(self) -> int:
@@ -108,46 +112,67 @@ class QuotientRing:
     def mult_by_var(self, x: int, v: BiDegree) -> list[dict]:
         """Columns of multiplication by variable x: (S/I)_v -> (S/I)_{v+deg x}.
 
-        Entry k is the quotient-coordinate vector of x * (k-th basis monomial).
+        Entry k is the quotient-coordinate vector of x * (k-th basis
+        monomial), read off the reduced echelon of the target piece with no
+        reduction: a standard monomial is its own coordinate, and a pivot
+        monomial j is congruent to minus its reduced row without the pivot.
+        The entries are those ``nf`` gives: plain ints where integral over
+        QQ, values in 1..p-1 over F_p.
         """
         key = (x, v)
         got = self._mult.get(key)
         if got is not None:
             return got
         w = self._shifted(v, x)
-        tgt_index = basis_index(self.num_p, self.num_q, w)
-        cols = []
-        for mono in self.piece(v).basis:
-            shifted = mono[:x] + (mono[x] + 1,) + mono[x + 1:]
-            cols.append(self.nf(w, {tgt_index[shifted]: 1}))
+        target, source = self.piece(w), self.piece(v).basis
+        if not target.basis:
+            cols = [{} for _ in source]
+        else:
+            rows, positions = target.rref.reduced_rows(), target.positions
+            p = self.field.p
+            tgt_index = basis_index(self.num_p, self.num_q, w)
+            cols = []
+            for mono in source:
+                j = tgt_index[mono[:x] + (mono[x] + 1,) + mono[x + 1:]]
+                row = rows.get(j)
+                if row is None:
+                    cols.append({positions[j]: 1})
+                elif p is None:
+                    cols.append({positions[k]: -c for k, c in row.items() if k != j})
+                else:
+                    cols.append({positions[k]: p - c for k, c in row.items() if k != j})
         self._mult[key] = cols
         return cols
 
     def commutes(self, x: int, y: int, v: BiDegree) -> bool:
         """Whether x * y = y * x on (S/I)_v, composing ``mult_by_var`` maps.
 
-        Checked once per (x, y, v) and cached with the ring.  A piece above a
-        zero piece is zero, so a composite through a zero piece lands in the
-        zero piece (S/I)_{v + deg x + deg y}; there both sides are the zero
-        map and no multiplication map is built.
+        A piece above a zero piece is zero, so a composite through a zero
+        piece lands in the zero piece (S/I)_{v + deg x + deg y}; there both
+        sides are the zero map and no multiplication map is built.  Nothing
+        is cached here: ``KoszulOracle.check_dd`` asks each square once.
         """
-        key = (x, y, v) if x < y else (y, x, v)
-        ok = self._commutes.get(key)
-        if ok is None:
-            top = self._shifted(self._shifted(v, x), y)
-            ok = not self.dim(top) or self._composite(x, y, v) == self._composite(y, x, v)
-            self._commutes[key] = ok
-        return ok
+        top = self._shifted(self._shifted(v, x), y)
+        return not self.dim(top) or self._composite(x, y, v) == self._composite(y, x, v)
 
     def _shifted(self, v: BiDegree, x: int) -> BiDegree:
         return (v[0] + 1, v[1]) if x < self.num_p else (v[0], v[1] + 1)
 
     def _composite(self, x: int, y: int, v: BiDegree) -> list[dict]:
-        """Columns of y * x on (S/I)_v, x applied first."""
+        """Columns of y * x on (S/I)_v, x applied first.
+
+        A first-map column {k: 1} composes to column k of the second map
+        itself, shared and not copied: composites are only compared.  Any
+        other column is summed by ``axpy``."""
         p = self.field.p
         second = self.mult_by_var(y, self._shifted(v, x))
         out = []
         for col in self.mult_by_var(x, v):
+            if len(col) == 1:
+                (k, c), = col.items()
+                if c == 1:
+                    out.append(second[k])
+                    continue
             acc: dict = {}
             for k, c in col.items():
                 axpy(acc, c, second[k], p)

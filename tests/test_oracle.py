@@ -1,5 +1,6 @@
 """The brute-force homological oracle against closed forms and known values."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -729,6 +730,82 @@ def corrupted_mult(x: int, w):
         return cols
 
     return one_corrupted_entry
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_d_squared_catches_a_corrupted_map_that_only_the_squares_read(monkeypatch, workers):
+    f = family("sl", 2)
+    moved, built = set(), set()
+    with monkeypatch.context() as m:
+        def recording_move(self, x, w, cls):
+            moved.add((x, w))
+            return move(self, x, w, cls)
+
+        def recording_mult(self, x, w):
+            built.add((x, w))
+            return REAL_MULT_BY_VAR(self, x, w)
+
+        move = oracle._Grading.move
+        m.setattr(oracle._Grading, "move", recording_move)
+        m.setattr(QuotientRing, "mult_by_var", recording_mult)
+        tor_over_S(f, workers=1)
+    # no differential reads x_1 on (S/I)_(4, 0); only a square composes it
+    assert (1, (4, 0)) in built - moved
+    monkeypatch.setattr(QuotientRing, "mult_by_var", corrupted_mult(1, (4, 0)))
+    message = r"d\.d != 0" + (r" at i=4, v=\(5, 2\)" if workers == 1 else "")
+    with pytest.raises(AssertionError, match=message):
+        tor_over_S(f, workers=workers)
+
+
+def _composed_squares(monkeypatch, f) -> tuple[list, set]:
+    """The (x, y, w) of every ``QuotientRing.commutes`` call of one
+    ``tor_over_S(f)``, x < y, and the set of those whose maps it composed."""
+    asked, composed = [], set()
+    commutes, composite = QuotientRing.commutes, QuotientRing._composite
+
+    def recording_commutes(self, x, y, v):
+        asked.append((min(x, y), max(x, y), v))
+        return commutes(self, x, y, v)
+
+    def recording_composite(self, x, y, v):
+        composed.add((min(x, y), max(x, y), v))
+        return composite(self, x, y, v)
+
+    monkeypatch.setattr(QuotientRing, "commutes", recording_commutes)
+    monkeypatch.setattr(QuotientRing, "_composite", recording_composite)
+    assert not betti_closed(f).diff(tor_over_S(f, workers=1))
+    return asked, composed
+
+
+def test_so4_composes_the_pinned_squares(monkeypatch):
+    # pinned from the oracle that built every map through normal forms and
+    # asked every pair set in every bidegree: the lookups compose the same
+    _, composed = _composed_squares(monkeypatch, family("so", 4))
+    digest = hashlib.sha256(repr(sorted(composed)).encode()).hexdigest()
+    assert (len(composed), digest[:16]) == (240, "e9ce80daa145786a")
+
+
+def test_so4_maps_need_no_normal_form_and_squares_are_asked_once(monkeypatch):
+    inside, nf_calls = [], []
+    nf, mult = QuotientRing.nf, QuotientRing.mult_by_var
+
+    def counting_nf(self, v, vec):
+        if inside:
+            nf_calls.append(v)
+        return nf(self, v, vec)
+
+    def tracked_mult(self, x, w):
+        inside.append(x)
+        try:
+            return mult(self, x, w)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(QuotientRing, "nf", counting_nf)
+    monkeypatch.setattr(QuotientRing, "mult_by_var", tracked_mult)
+    asked, composed = _composed_squares(monkeypatch, family("so", 4))
+    assert nf_calls == []
+    assert len(asked) == len(set(asked)) == len(composed) == 240
 
 
 def test_a_corrupted_multiplication_entry_never_yields_a_negative_beta(monkeypatch):

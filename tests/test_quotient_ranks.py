@@ -1,5 +1,6 @@
 """Quotient pieces and ideal ranks: zero pieces read off the piece below,
-and ideal span vectors placed by index tables."""
+ideal span vectors placed by index tables, and multiplication maps read off
+the reduced rows."""
 
 from functools import cache
 from random import Random
@@ -201,6 +202,73 @@ def test_maps_into_a_zero_piece_are_empty():
     assert ring.piece((-1, 0)).dimension == 0
     assert ring.piece((0, -1)).dimension == 0
     assert ring.dim((0, 0)) == 1
+
+
+def _tails_ring(fld) -> QuotientRing:
+    """A ring whose maps have columns other than {k: 1}: in bidegree (2, 0)
+    back-substitution leaves p1^2 + Fraction(1) p2^2 over QQ.  Every nonzero
+    column of the families' maps is {k: 1}."""
+    gens = [Polynomial.from_dict(2, 1, {(2, 0, 0): 2, (1, 1, 0): 1, (0, 2, 0): 1}),
+            Polynomial.from_dict(2, 1, {(1, 1, 0): 1, (0, 2, 0): -1})]
+    return QuotientRing(gens, 2, 1, fld)
+
+
+def _typed(col: dict) -> dict:
+    return {k: (c, type(c)) for k, c in col.items()}
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(32003)], ids=str)
+def test_mult_by_var_equals_the_normal_form_route(fld):
+    # each column against ``nf`` of the shifted monomial, value and type
+    rings = [ring_for_family(family(kind, n), fld) for kind, n in ORACLE_RANGE]
+    for ring in rings + [_tails_ring(fld)]:
+        for w in bidegrees_up_to_total(4):
+            for x in range(ring.nvars):
+                up = ring._shifted(w, x)
+                index = basis_index(ring.num_p, ring.num_q, up)
+                want = [ring.nf(up, {index[m[:x] + (m[x] + 1,) + m[x + 1:]]: 1})
+                        for m in ring.piece(w).basis]
+                got = ring.mult_by_var(x, w)
+                assert list(map(_typed, got)) == list(map(_typed, want)), (
+                    ring.generators, x, w)
+
+
+def _dense(cols, rows: int) -> list[list]:
+    return [[col.get(r, 0) for col in cols] for r in range(rows)]
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(32003)], ids=str)
+def test_composite_equals_the_dense_product(monkeypatch, fld):
+    axpys = []
+    real_axpy = quotient.axpy
+
+    def counting_axpy(acc, c, vec, p=None):
+        axpys.append(1)
+        return real_axpy(acc, c, vec, p)
+
+    monkeypatch.setattr(quotient, "axpy", counting_axpy)
+    rings = [ring_for_family(family(kind, n), fld)
+             for kind, n in [("sl", 2), ("sp", 1), ("so", 3)]]
+    shared = 0
+    for ring in rings + [_tails_ring(fld)]:
+        for w in bidegrees_up_to_total(3):
+            for x in range(ring.nvars):
+                mid = ring._shifted(w, x)
+                first = ring.mult_by_var(x, w)
+                for y in range(ring.nvars):
+                    top = ring._shifted(mid, y)
+                    second = ring.mult_by_var(y, mid)
+                    a = _dense(first, ring.dim(mid))
+                    b = _dense(second, ring.dim(top))
+                    product = [[sum(b[r][k] * a[k][j] for k in range(len(a)))
+                                for j in range(ring.dim(w))] for r in range(len(b))]
+                    if fld.p is not None:
+                        product = [[c % fld.p for c in row] for row in product]
+                    got = ring._composite(x, y, w)
+                    assert _dense(got, ring.dim(top)) == product, (ring.generators, x, y, w)
+                    shared += sum(any(col is c for c in second) for col in got)
+    # both branches ran: columns shared with the second map, and sums
+    assert shared and axpys
 
 
 RESOLVE_WINDOWS = (("sl", 3, 5, 7), ("sp", 2, 4, 6), ("so", 3, 5, 6), ("gl", 3, 5, 6))
