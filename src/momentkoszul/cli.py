@@ -17,7 +17,7 @@ import os
 import sys
 
 from .betti import BettiTable
-from .closed import betti_closed, hilbert_closed, poincare_over_S, projective_dimension
+from .closed import betti_closed, hilbert_closed, poincare_over_S
 from .combinat import catalan
 from .fields import QQ, InvalidFieldError, parse_field
 from .ideals import family, generators
@@ -139,8 +139,7 @@ def cmd_betti(args) -> int:
     if args.source in ("closed", "both"):
         tables["closed"] = betti_closed(f).restricted(args.max_i)
     if need_oracle:
-        max_i = projective_dimension(f) if args.max_i is None else args.max_i
-        tables["oracle"] = tor_over_S(f, max_i=max_i, fld=fld)
+        tables["oracle"] = tor_over_S(f, max_i=args.max_i, fld=fld)
         _warn_boundary(tables["oracle"].boundary_hits)
     for src, table in tables.items():
         pieces.append(_render_table(table, args.format))

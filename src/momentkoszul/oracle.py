@@ -30,9 +30,9 @@ is built only where it is ranked.
 ``tor_over_S`` works one bidegree v at a time: a fresh ``KoszulOracle``
 builds, ranks and d.d-checks the complex of v and is dropped before the next
 v, serially or in a fork-pool worker.  Only the quotient ring's pieces and
-multiplication maps, and the grading's classes and checked squares, stay
-cached across bidegrees, until the call returns; a pool worker keeps its own
-copy of each.
+multiplication maps, and the grading's weight groups, kept coordinates and
+checked maps and squares, stay cached across bidegrees, until the call
+returns; a pool worker keeps its own copy of each.
 
 When the ring passes ``_swaps_p_and_q``, only the bidegrees (a, b) with
 a >= b are ranked, and beta_i(a, b) for a < b is read off (b, a).  The check
@@ -60,9 +60,13 @@ beta_i(v) = sum over dominant lambda of |S_n.lambda| beta_i(v, lambda),
 dominant meaning that the coordinates descend, and exactly: ``KoszulOracle``
 keeps the basis elements of dominant weight and counts each with the size
 of its weight's orbit in every dimension and rank.  A ring that fails the
-check is ranked whole, as the trivial grading in Z^0: one class, counted
-once.  A multiplication entry in a row of another weight fails the assembly
-check as ``d.d != 0``.
+check is ranked whole, as the trivial grading in Z^0: every basis element
+kept, counted once.  The kept part has one block per exterior monomial eps,
+the coordinates of (S/I)_{v - deg eps} whose weight plus wt(eps) is
+dominant, and the differentials read the ring's own multiplication maps in
+place.  ``check_dd`` checks each map it reads for homogeneity once per call,
+so a multiplication entry in a row of another weight fails as
+``d.d != 0``.
 
 Within v the differentials are ranked from the highest homological degree
 down, with clearing (Chen and Kerber, "Persistent homology computation with
@@ -141,30 +145,6 @@ def _exterior_table(nvars: int, num_p: int, i: int) -> _ExteriorTable:
                           {e: tuple(sorted(ab)) for e, ab in pairs.items()})
 
 
-class _Class(NamedTuple):
-    """The standard monomials of one weight mu in one quotient piece."""
-
-    #: mu, packed (see ``_BASE``)
-    weight: int
-    #: the quotient coordinates of the monomials, ascending: their places
-    positions: tuple
-    #: quotient coordinate -> its place in ``positions``
-    index: dict
-    #: x -> ``_Grading.move``, filled as it is asked
-    moves: dict
-
-
-class _Kept(NamedTuple):
-    """A class of (S/I)_w kept beside an exterior monomial eps."""
-
-    #: the dominant weight wt(eps) + mu, packed
-    weight: int
-    cls: _Class
-    #: |S_n . weight|, the multiplicity of each basis element (eps, m), once
-    #: per monomial of the class
-    orbits: list
-
-
 @cache
 def _exterior_groups(nvars: int, num_p: int, i: int, slots: tuple) -> tuple:
     """The degree-i exterior monomials as (eps, g) in ``_exterior_table``
@@ -204,15 +184,16 @@ def _orbit(lam: int, n: int) -> int:
 
 
 class _Grading:
-    """Torus weights of the variables of ``ring``, and the classes of each
-    quotient piece that the oracle keeps under them.
+    """Torus weights of the variables of ``ring``, and the quotient
+    coordinates that the oracle keeps under them.
 
     ``weights`` gives each variable slot a weight in Z^n; None is the
-    trivial grading in Z^0, under which every basis element has weight 0
-    and multiplicity 1, so the oracle keeps the whole complex.  A weight is
+    trivial grading in Z^0, under which every coordinate has weight 0 and
+    multiplicity 1, so the oracle keeps the whole complex.  A weight is
     dominant when its coordinates descend, and its S_n orbit has n! / prod
     m_c! elements, m_c the number of coordinates equal to c.  Each piece is
-    grouped by weight once, and the classes kept beside one exterior weight
+    grouped by weight once, the coordinates kept beside one exterior weight
+    are listed once, and each multiplication map is checked homogeneous
     once, for the life of the grading: one ``tor_over_S`` call.
     """
 
@@ -221,9 +202,9 @@ class _Grading:
         self.n = len(weights[0]) if weights else 0
         self._slots = tuple(sum(x * _BASE ** c for c, x in enumerate(wt))
                             for wt in weights or ((),) * ring.nvars)
-        self._pieces: dict[BiDegree, dict[int, _Class]] = {}
+        self._pieces: dict[BiDegree, dict[int, list]] = {}
         self._kept: dict[BiDegree, dict[int, tuple]] = {}
-        self._squared: set[tuple[BiDegree, BiDegree]] = set()
+        self._homogeneous: dict[tuple[int, BiDegree], bool] = {}
         self._commuting: dict[BiDegree, set[tuple[int, int]]] = {}
 
     def weight(self, exponents) -> int:
@@ -234,83 +215,66 @@ class _Grading:
         """``_exterior_groups`` of degree i under this grading."""
         return _exterior_groups(self.ring.nvars, self.ring.num_p, i, self._slots)
 
-    def classes(self, w: BiDegree) -> dict:
-        """mu -> the ``_Class`` of weight mu of (S/I)_w, in the order the
-        weights first occur in the piece."""
+    def _by_weight(self, w: BiDegree) -> dict:
+        """mu -> the quotient coordinates of weight mu of (S/I)_w, ascending,
+        in the order the weights first occur in the piece."""
         got = self._pieces.get(w)
         if got is None:
-            groups: dict[int, list] = {}
+            got = self._pieces[w] = {}
             for pos, mono in enumerate(self.ring.piece(w).basis):
-                groups.setdefault(self.weight(mono), []).append(pos)
-            got = self._pieces[w] = {
-                mu: _Class(mu, tuple(ps), dict(zip(ps, range(len(ps)))), {})
-                for mu, ps in groups.items()}
+                got.setdefault(self.weight(mono), []).append(pos)
         return got
 
     def kept(self, w: BiDegree, eps_weight: int) -> tuple:
-        """A ``_Kept`` per class of (S/I)_w whose weight plus
-        ``eps_weight`` is dominant, in the order of ``classes(w)``."""
-        by_weight = self._kept.setdefault(w, {})
-        got = by_weight.get(eps_weight)
+        """``(coords, orbits, index)`` for (S/I)_w beside an exterior weight:
+        the quotient coordinates whose weight mu plus ``eps_weight`` is
+        dominant, in the order of ``_by_weight(w)``; the orbit size
+        |S_n . (eps_weight + mu)| of each; and coordinate -> place in
+        ``coords``.  () when no coordinate is kept: most (w, eps_weight)
+        keep none, and share that one empty tuple."""
+        by_eps = self._kept.setdefault(w, {})
+        got = by_eps.get(eps_weight)
         if got is None:
-            got = []
-            for mu, cls in self.classes(w).items():
+            coords, orbits = [], []
+            for mu, ps in self._by_weight(w).items():
                 orbit = _orbit(eps_weight + mu, self.n)
                 if orbit:
-                    got.append(_Kept(eps_weight + mu, cls, [orbit] * len(cls.positions)))
-            got = by_weight[eps_weight] = tuple(got)
+                    coords += ps
+                    orbits += [orbit] * len(ps)
+            got = by_eps[eps_weight] = (
+                (coords, orbits, dict(zip(coords, range(len(coords))))) if coords else ())
         return got
 
-    def squares_commute(self, e: BiDegree, pairs, w: BiDegree) -> bool:
-        """Whether x_a x_b = x_b x_a on (S/I)_w for every pair {a, b} in
-        ``pairs``, the pair set of the exterior bidegree e.
+    def homogeneous(self, x: int, w: BiDegree) -> bool:
+        """Whether ``ring.mult_by_var(x, w)`` sends every coordinate of
+        weight mu of (S/I)_w into coordinates of weight mu + wt(x) alone;
+        each (x, w) is checked once for the life of the grading."""
+        key = (x, w)
+        got = self._homogeneous.get(key)
+        if got is None:
+            up = (w[0] + 1, w[1]) if x < self.ring.num_p else (w[0], w[1] + 1)
+            weight_of = {t: mu for mu, ts in self._by_weight(up).items() for t in ts}
+            mult, shift = self.ring.mult_by_var(x, w), self._slots[x]
+            got = self._homogeneous[key] = all(
+                weight_of.get(t) == mu + shift
+                for mu, ps in self._by_weight(w).items() for pos in ps
+                for t in mult[pos])
+        return got
 
-        Each (e, w) is asked of the ring once, and each pair found to
-        commute on (S/I)_w is recorded, so ``QuotientRing.commutes`` runs at
-        most once per (a, b, w) for the life of the grading."""
-        if (e, w) in self._squared:
-            return True
+    def squares_commute(self, pairs, w: BiDegree) -> bool:
+        """Whether x_a x_b = x_b x_a on (S/I)_w for every pair {a, b} in
+        ``pairs``.
+
+        Each pair found to commute on (S/I)_w is recorded, so
+        ``QuotientRing.commutes`` runs at most once per (a, b, w) for the
+        life of the grading."""
         done = self._commuting.setdefault(w, set())
         for ab in pairs:
             if ab not in done:
                 if not self.ring.commutes(*ab, w):
                     return False
                 done.add(ab)
-        self._squared.add((e, w))
         return True
-
-    def move(self, x: int, w: BiDegree, cls: _Class) -> tuple:
-        """Multiplication by x on the class ``cls`` of (S/I)_w, as
-        ``(columns, outside)``.
-
-        x m has weight mu + wt(x), so column k, x times the monomial at
-        place k, maps the places of the class of that weight in
-        (S/I)_{w + deg x} to coefficients.  ``outside`` says whether some
-        entry of ``ring.mult_by_var`` fell outside that class; such an entry
-        is left out of the columns."""
-        got = cls.moves.get(x)
-        if got is None:
-            up = (w[0] + 1, w[1]) if x < self.ring.num_p else (w[0], w[1] + 1)
-            target = self.classes(up).get(cls.weight + self._slots[x])
-            index = {} if target is None else target.index
-            mult = self.ring.mult_by_var(x, w)
-            if len(index) == self.ring.dim(up):
-                # the target class is its whole piece: places are coordinates
-                got = ([mult[pos] for pos in cls.positions], False)
-            else:
-                cols, outside = [], False
-                for pos in cls.positions:
-                    col = {}
-                    for tpos, c in mult[pos].items():
-                        t = index.get(tpos)
-                        if t is None:
-                            outside = True
-                        else:
-                            col[t] = c
-                    cols.append(col)
-                got = (cols, outside)
-            cls.moves[x] = got
-        return got
 
 
 class KoszulOracle:
@@ -337,16 +301,17 @@ class KoszulOracle:
         self._rank: dict[tuple[int, BiDegree], int] = {}
         self._basis: dict[tuple[int, BiDegree], tuple] = {}
         self._cols: dict[tuple[int, BiDegree], list] = {}
-        self._moves: dict[tuple[int, BiDegree], list] = {}
+        self._removed: dict[tuple[int, BiDegree], list] = {}
         self._cleared: dict[tuple[int, BiDegree], set[int]] = {}
 
     def basis(self, i: int, v: BiDegree):
         """Blocks (eps, w, offset, kept) of the kept part of the degree-(i, v)
         piece, plus the orbit size of each kept element by its index.
 
-        A block holds the elements (eps, m) with m in the class ``kept.cls``
-        of (S/I)_w, w = v - deg eps, at the indices from ``offset`` on, in
-        the order of the class's places."""
+        A block holds the elements (eps, m), w = v - deg eps, for m the
+        quotient coordinates ``kept[0]`` of (S/I)_w that ``_Grading.kept``
+        keeps beside wt(eps), at the indices from ``offset`` on.  An eps with
+        no kept coordinate has no block."""
         key = (i, v)
         got = self._basis.get(key)
         if got is not None:
@@ -366,10 +331,10 @@ class KoszulOracle:
                 w = pieces.get(e)
                 kept.append((w, () if w is None else grading.kept(w, eps_weight)))
             for eps, g in monomials:
-                w, classes = kept[g]
-                for k in classes:
+                w, k = kept[g]
+                if k:
                     blocks.append((eps, w, len(orbits), k))
-                    orbits += k.orbits
+                    orbits += k[1]
         result = (blocks, orbits)
         self._basis[key] = result
         return result
@@ -379,60 +344,57 @@ class KoszulOracle:
         return sum(self.basis(i, v)[1])
 
     def _removals(self, i: int, v: BiDegree) -> list:
-        """Per block of the (i, v) piece, in order: its offset, its size and
-        its removals (r odd, target offset, (columns, outside)), one per face
-        of eps whose quotient piece is nonzero.  Built once for ``columns``
-        and ``check_dd``, and dropped with the columns.
+        """Per block of ``basis(i, v)``, in order, its removals
+        (r odd, x, mult, offset, index): one per face of eps, eps without
+        x = eps[r], whose quotient piece is nonzero.  ``mult`` is
+        ``ring.mult_by_var(x, w)`` itself, and ``offset`` and ``index`` are
+        the face's block offset and its coordinate -> place map.  Built once
+        for ``columns`` and ``check_dd``, and dropped with the columns.
 
-        (face, x_r m) has the block's weight, so the target is the face's
-        block of that weight, and ``columns`` and ``outside`` are
-        ``_Grading.move`` of x_r on the block's class.  A face with no block
-        of that weight is given offset 0: its columns are empty unless
-        ``outside`` is set."""
+        (face, x m) has the weight of (eps, m), so a homogeneous map sends a
+        kept coordinate to coordinates that the face's block keeps.  A face
+        with no block is given offset 0 and an empty index: a homogeneous
+        map sends every kept coordinate there to 0."""
         key = (i, v)
-        got = self._moves.get(key)
+        got = self._removed.get(key)
         if got is not None:
             return got
-        ring, grading = self.ring, self.grading
+        ring = self.ring
         num_p = ring.num_p
         faces = _exterior_table(ring.nvars, num_p, i).faces
-        targets: dict[tuple, dict] = {}
-        for eps, _, off, k in self.basis(i - 1, v)[0]:
-            targets.setdefault(eps, {})[k.weight] = off
+        targets = {eps: (off, k[2]) for eps, _, off, k in self.basis(i - 1, v)[0]}
         live = {w for e in _exterior_table(ring.nvars, num_p, i - 1).pairs
                 if ring.dim(w := sub_bidegrees(v, e))}
-        got, last, moves = [], None, []
-        for eps, w, off, k in self.basis(i, v)[0]:
-            if eps != last:  # the blocks of one eps are adjacent
-                last, moves = eps, []
-                for r, face in enumerate(faces[eps]):
-                    x = eps[r]
-                    if ((w[0] + 1, w[1]) if x < num_p else (w[0], w[1] + 1)) in live:
-                        moves.append((r % 2, x, targets.get(face, {})))
-            cls = k.cls
-            got.append((off, len(k.orbits), [
-                (odd, by_weight.get(k.weight, 0),
-                 cls.moves.get(x) or grading.move(x, w, cls))
-                for odd, x, by_weight in moves]))
-        self._moves[key] = got
+        got = []
+        for eps, w, _, _ in self.basis(i, v)[0]:
+            removals = []
+            for r, face in enumerate(faces[eps]):
+                x = eps[r]
+                if ((w[0] + 1, w[1]) if x < num_p else (w[0], w[1] + 1)) in live:
+                    removals.append((r % 2, x, ring.mult_by_var(x, w),
+                                     *targets.get(face, (0, {}))))
+            got.append(removals)
+        self._removed[key] = got
         return got
 
     def columns(self, i: int, v: BiDegree):
         """Columns of the differential K_i -> K_{i-1} in bidegree v, on the
-        kept elements."""
+        kept elements: entry (t, c) of a removal's map lands at its face's
+        offset + index[t]."""
         key = (i, v)
         got = self._cols.get(key)
         if got is not None:
             return got
         p = self.ring.field.p
         cols = []
-        for _, d, removals in self._removals(i, v):
-            for pos in range(d):
+        for (_, _, _, (coords, _, _)), removals in zip(self.basis(i, v)[0],
+                                                      self._removals(i, v)):
+            for pos in coords:
                 # each removal lands in its own target block: no entries collide
                 col: dict[int, object] = {}
-                for odd, off, (mult, _) in removals:
-                    for tpos, c in mult[pos].items():
-                        col[off + tpos] = (-c if p is None else p - c) if odd else c
+                for odd, _, mult, off, index in removals:
+                    for t, c in mult[pos].items():
+                        col[off + index[t]] = (-c if p is None else p - c) if odd else c
                 cols.append(col)
         self._cols[key] = cols
         return cols
@@ -481,58 +443,64 @@ class KoszulOracle:
         +-(x_a x_b m - x_b x_a m): removing a then b and b then a reach the
         same block with opposite signs.  So d.d = 0 exactly when
 
+        * every map read is homogeneous: each (x, w) of ``_removals`` sends
+          weight mu to mu + wt(x) (``_Grading.homogeneous``), so every entry
+          stays in a row of its column's weight, kept by the face's block;
         * the assembly holds: ``columns(i, v)`` has one column per kept
           basis element, holding exactly the entries (-1)^r x_r m of its
-          removals at the indices of ``basis(i - 1, v)``, each in a row of
-          the column's weight, and
+          removals at the indices of ``basis(i - 1, v)``, and
         * every square commutes: x_a x_b = x_b x_a on (S/I)_w for each pair
-          {a, b} of each block (``QuotientRing.commutes``).  The blocks of
+          {a, b} of each eps (``QuotientRing.commutes``).  The monomials of
           one exterior bidegree e share w and the pair set of e, and
-          ``_Grading.squares_commute`` asks each (e, w) once and composes
-          each square once per ``tor_over_S`` call, however many bidegrees
-          v reach it.
+          ``_Grading.squares_commute`` composes each square once per
+          ``tor_over_S`` call, however many bidegrees v reach it.
 
         This covers what the matrix product covers: built from the same
         multiplication maps, the product is zero exactly when those squares
         commute, and any wrong entry of ``columns(i, v)`` fails the assembly
-        whether or not the product would show it.  ``columns(i - 1, v)`` is
-        not built; where it is ranked, its own check covers it, which is why
-        i = 1 (where d_0 = 0) checks the assembly alone.
+        whether or not the product would show it.  The maps are checked
+        before the columns are read, so ``columns`` finds every target in
+        its face's index.  ``columns(i - 1, v)`` is not built; where it is
+        ranked, its own check covers it, which is why i = 1 (where d_0 = 0)
+        checks the maps and the assembly alone.
         """
-        ring = self.ring
+        ring, grading = self.ring, self.grading
         if i < 1 or i > ring.nvars:
             return
         fail = AssertionError(f"d.d != 0 at i={i}, v={v}")
         p = ring.field.p
+        blocks = self.basis(i, v)[0]
+        removals = self._removals(i, v)
+        if not all(grading.homogeneous(x, w) for (_, w, _, _), maps in
+                   zip(blocks, removals) for _, x, _, _, _ in maps):
+            raise fail
         cols = self.columns(i, v)
         if len(cols) != len(self.basis(i, v)[1]):
             raise fail
-        for off, d, removals in self._removals(i, v):
-            for pos in range(d):
-                col = cols[off + pos]
+        for (_, _, off, (coords, _, _)), maps in zip(blocks, removals):
+            for place, pos in enumerate(coords):
+                col = cols[off + place]
                 count = 0
-                for odd, t, (mult, outside) in removals:
-                    if outside:  # an entry in a row of another weight
-                        raise fail
+                for odd, _, mult, t, index in maps:
                     entries = mult[pos]
                     count += len(entries)
                     for tpos, c in entries.items():
                         if odd:
                             c = -c if p is None else p - c
-                        if col.get(t + tpos) != c:
+                        if col.get(t + index[tpos]) != c:
                             raise fail
                 if len(col) != count:
                     raise fail
         for e, pairs in _exterior_table(ring.nvars, ring.num_p, i).pairs.items():
             w = sub_bidegrees(v, e)
-            if ring.dim(w) and not self.grading.squares_commute(e, pairs, w):
+            if ring.dim(w) and not grading.squares_commute(pairs, w):
                 raise fail
 
     def release(self, i: int, v: BiDegree):
         """Drop the columns of d_i in bidegree v, and the removals they were
         built from; its rank stays cached."""
         self._cols.pop((i, v), None)
-        self._moves.pop((i, v), None)
+        self._removed.pop((i, v), None)
 
     def betti(self, i: int, v: BiDegree) -> int:
         dim = self.dimension(i, v)
@@ -703,7 +671,8 @@ def tor_over_S(f: RepFamily, max_i: int | None = None,
     only where d.d = 0.  The oracle is then dropped, so its bases and
     ranks live only while v is computed, and the columns of one
     differential at a time.  The quotient ring's pieces and multiplication
-    maps, and the grading's checked squares, stay cached for the whole call.
+    maps, and the grading's checked maps and squares, stay cached for the
+    whole call.
     When the ring passes ``_swaps_p_and_q`` (every family does), only the
     bidegrees (a, b) with a >= b are computed, and beta_i(a, b) for a < b is
     read off (b, a): the checked swap p_k <-> q_k is a ring automorphism

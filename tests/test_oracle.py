@@ -719,6 +719,100 @@ def test_d_squared_catches_an_entry_in_a_row_of_another_weight(monkeypatch, work
         tor_over_S(f, workers=workers)
 
 
+def kept_row_of_another_weight(f):
+    """(x, w, pos, t): a kept column pos of the map x on (S/I)_w, read by a
+    differential that ``tor_over_S(f)`` ranks, and a row t of another weight
+    that the face's block keeps, so an entry planted there has a place."""
+    ring = ring_for_family(f)
+    grading = oracle._torus_grading(ring, f.torus_weights)
+    kept = KoszulOracle(ring, grading)
+    for i in range(1, projective_dimension(f) + 1):
+        for v in bidegrees_up_to_total(i + 3):
+            if v[0] < v[1]:
+                continue
+            for (_, w, _, (coords, _, _)), maps in zip(kept.basis(i, v)[0],
+                                                       kept._removals(i, v)):
+                for _, x, mult, _, index in maps:
+                    up = ring.piece((w[0] + 1, w[1]) if x < ring.num_p else (w[0], w[1] + 1))
+                    for pos in coords:
+                        for row in mult[pos]:
+                            for t in index:
+                                if (t not in mult[pos] and grading.weight(up.basis[t])
+                                        != grading.weight(up.basis[row])):
+                                    return x, w, pos, t
+    raise AssertionError("no kept row of another weight")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_d_squared_catches_an_entry_at_a_kept_row_of_another_weight(monkeypatch, workers):
+    # the planted row has a place in the face's block, so the columns hold
+    # it and their entries match the map; every square passes, so only the
+    # homogeneity check of the map can find it
+    f = family("sl", 3)
+    x, w, pos, t = kept_row_of_another_weight(f)
+
+    def one_planted_entry(self, y, u):
+        fresh = (y, u) not in self._mult
+        cols = REAL_MULT_BY_VAR(self, y, u)
+        if fresh and (y, u) == (x, w):
+            cols[pos][t] = 1
+        return cols
+
+    monkeypatch.setattr(QuotientRing, "mult_by_var", one_planted_entry)
+    monkeypatch.setattr(QuotientRing, "commutes", lambda self, x, y, v: True)
+    with pytest.raises(AssertionError, match=r"d\.d != 0"):
+        tor_over_S(f, workers=workers)
+
+
+def test_removals_hold_the_rings_own_maps():
+    f = family("sl", 3)
+    ring = ring_for_family(f)
+    kept = KoszulOracle(ring, oracle._torus_grading(ring, f.torus_weights))
+    i, v = 3, (3, 2)
+    blocks, removals = kept.basis(i, v)[0], kept._removals(i, v)
+    assert len(blocks) == len(removals) and any(removals)
+    for (eps, w, _, _), maps in zip(blocks, removals):
+        for odd, x, mult, _, _ in maps:
+            assert odd == eps.index(x) % 2
+            assert mult is ring.mult_by_var(x, w)
+
+
+def matrices_digest(f, fld, graded: bool) -> str:
+    """A digest of the orbit list of every ``basis(i, v)``, i <= nvars, and
+    of every ``columns(i, v)``, i >= 1, total(v) <= i + 3, under the torus
+    grading or the trivial one."""
+    ring = ring_for_family(f, fld)
+    kept = KoszulOracle(ring, oracle._torus_grading(ring, f.torus_weights)
+                        if graded else None)
+    digest = hashlib.sha256()
+    for i in range(ring.nvars + 1):
+        for v in bidegrees_up_to_total(i + 3):
+            cols = [sorted(col.items()) for col in kept.columns(i, v)] if i else []
+            digest.update(repr((i, v, kept.basis(i, v)[1], cols)).encode())
+            kept.release(i, v)
+    return digest.hexdigest()[:16]
+
+
+# recorded when each block held one weight class of one eps, so keying the
+# blocks by eps alone moved no index and no entry
+PINNED_MATRICES = {
+    ("gl", 3, QQ, True): "6032de9478ae50e2",
+    ("gl", 3, QQ, False): "94193a1d520e6bbe",
+    ("so", 4, QQ, True): "9c92559a915782b2",
+    ("so", 4, QQ, False): "859041db12af8044",
+    ("sp", 2, QQ, True): "5f832be3ce497a61",
+    ("sp", 2, QQ, False): "e900788b7711b645",
+    ("sl", 4, GF(32003), True): "1f50f0d52f0b2670",
+    ("sl", 4, GF(32003), False): "7930386e2c5190d0",
+}
+
+
+@pytest.mark.parametrize("kind, n, fld, graded", PINNED_MATRICES, ids=str)
+def test_every_differential_and_orbit_list_keeps_its_pinned_digest(kind, n, fld, graded):
+    digest = matrices_digest(family(kind, n), fld, graded)
+    assert digest == PINNED_MATRICES[(kind, n, fld, graded)]
+
+
 def corrupted_mult(x: int, w):
     """A ``mult_by_var`` whose (x, w) map, when first built, has 1 added to
     the first entry of its first column."""
@@ -735,22 +829,27 @@ def corrupted_mult(x: int, w):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_d_squared_catches_a_corrupted_map_that_only_the_squares_read(monkeypatch, workers):
     f = family("sl", 2)
-    moved, built = set(), set()
+    read, built, reading = set(), set(), []
     with monkeypatch.context() as m:
-        def recording_move(self, x, w, cls):
-            moved.add((x, w))
-            return move(self, x, w, cls)
+        def recording_removals(self, i, v):
+            reading.append(True)
+            try:
+                return removals(self, i, v)
+            finally:
+                reading.pop()
 
         def recording_mult(self, x, w):
             built.add((x, w))
+            if reading:
+                read.add((x, w))
             return REAL_MULT_BY_VAR(self, x, w)
 
-        move = oracle._Grading.move
-        m.setattr(oracle._Grading, "move", recording_move)
+        removals = KoszulOracle._removals
+        m.setattr(KoszulOracle, "_removals", recording_removals)
         m.setattr(QuotientRing, "mult_by_var", recording_mult)
         tor_over_S(f, workers=1)
     # no differential reads x_1 on (S/I)_(4, 0); only a square composes it
-    assert (1, (4, 0)) in built - moved
+    assert read and (1, (4, 0)) in built - read
     monkeypatch.setattr(QuotientRing, "mult_by_var", corrupted_mult(1, (4, 0)))
     message = r"d\.d != 0" + (r" at i=4, v=\(5, 2\)" if workers == 1 else "")
     with pytest.raises(AssertionError, match=message):
