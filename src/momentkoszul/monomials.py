@@ -16,6 +16,8 @@ from functools import lru_cache
 from math import comb
 from operator import add
 
+from .linalg import InvalidInputError
+
 BiDegree = tuple[int, int]
 Monomial = tuple[int, ...]
 
@@ -103,3 +105,11 @@ def bidegrees_up_to_total(bound: int):
     for t in range(bound + 1):
         for a in range(t, -1, -1):
             yield (a, t - a)
+
+
+def _non_negative(**bounds):
+    """Refuse a negative bound of a brute-force window; a bound of None is
+    unbounded."""
+    if any(bound is not None and bound < 0 for bound in bounds.values()):
+        raise InvalidInputError("window must be non-negative, got " + ", ".join(
+            f"{name}={bound}" for name, bound in bounds.items()))

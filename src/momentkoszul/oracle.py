@@ -34,9 +34,9 @@ multiplication maps, and the grading's weight groups, kept coordinates and
 checked maps and squares, stay cached across bidegrees, until the call
 returns; a pool worker keeps its own copy of each.
 
-When the ring passes ``_swaps_p_and_q``, only the bidegrees (a, b) with
-a >= b are ranked, and beta_i(a, b) for a < b is read off (b, a).  The check
-asks num_p = num_q and that the swap sigma: p_k <-> q_k sends every
+Mirror.  When the ring passes ``_swaps_p_and_q``, only the bidegrees (a, b)
+with a >= b are ranked, and beta_i(a, b) for a < b is read off (b, a).  The
+check asks num_p = num_q and that the swap sigma: p_k <-> q_k sends every
 generator into I, its normal form in its bidegree being zero over the ring's
 field.  Then sigma(I) is in I, and sigma(I) = I because sigma^2 = id, so
 sigma is a ring automorphism of S that keeps I, swaps the two gradings and
@@ -44,8 +44,8 @@ permutes the variables; it carries the complex of (a, b) onto that of
 (b, a), and the two Betti numbers are equal exactly.  Every family here
 passes; a ring that fails is ranked in every bidegree.
 
-Within a ranked bidegree only one torus weight per S_n orbit is ranked.
-Variable slot k has the weight +-e_{k mod n} in Z^n
+Orbits.  Within a ranked bidegree only one torus weight per S_n orbit is
+ranked.  Variable slot k has the weight +-e_{k mod n} in Z^n
 (``RepFamily.torus_weights``), and ``_torus_grading`` checks once per call,
 over the ring's field, that every generator is weight-homogeneous and that
 the transposition (1 2) and the n-cycle, permuting the index of every block
@@ -59,36 +59,43 @@ K(v, lambda) onto K(v, pi.lambda).  Hence
 beta_i(v) = sum over dominant lambda of |S_n.lambda| beta_i(v, lambda),
 dominant meaning that the coordinates descend, and exactly: ``KoszulOracle``
 keeps the basis elements of dominant weight and counts each with the size
-of its weight's orbit in every dimension and rank.  A ring that fails the
+of its weight's orbit in every dimension and rank; a rank so counted sums
+|S_n.lambda| times the rank of each dominant weight's block, because every
+column has its entries in rows of its own weight.  A ring that fails the
 check is ranked whole, as the trivial grading in Z^0: every basis element
 kept, counted once.  The kept part has one block per exterior monomial eps,
 the coordinates of (S/I)_{v - deg eps} whose weight plus wt(eps) is
 dominant, and the differentials read the ring's own multiplication maps in
-place.  ``check_dd`` checks each map it reads for homogeneity once per call,
-so a multiplication entry in a row of another weight fails as
-``d.d != 0``.
+place.  ``KoszulOracle._removals`` is the one place that binds them, and it
+checks each map homogeneous as it binds it (once per (x, w) per call), so
+a multiplication entry in a row of another weight fails as ``d.d != 0``
+wherever the map is read, and ``columns`` never indexes a row that the
+face's block does not keep.
 
-Within v the differentials are ranked from the highest homological degree
-down, with clearing (Chen and Kerber, "Persistent homology computation with
-a twist", 2011): a row of the column echelon of d_{i+1} lies in the image of
-d_{i+1}, so with d.d = 0 the column of d_i at its pivot j is a combination
-of the columns after j, and ``rank`` skips it.  Every differential is ranked
-by its columns, so each leaves its pivots for the one below.  Clearing
-trusts d.d = 0, so each differential is handled in one pass, top-down: d_i
-is d.d-checked, then ranked, then its columns are released.  When d_i is
-ranked, the check of d_{i+1} (its assembly and every square under it) and
-the assembly of d_i have both passed, so d_i . d_{i+1} = 0 holds where
-clearing uses it.  The Betti numbers are read only after every differential
-of v is checked: a corrupted differential fails as ``d.d != 0`` before a
-Betti number is derived from a cleared rank, and at most one
-differential's columns are held at a time.
+Clearing.  Within v the differentials are ranked from the highest
+homological degree down, with clearing (Chen and Kerber, "Persistent
+homology computation with a twist", 2011): a row of the column echelon of
+d_{i+1} has smallest index j and lies in the image of d_{i+1}, so with
+d.d = 0 the column of d_i at j is a combination of the columns after j, and
+``rank`` skips it; by induction from the top index down, the columns left
+span the same image.  Every differential is ranked by its columns, so each
+leaves its pivots for the one below.  Clearing trusts d.d = 0, so each
+differential is handled in one pass, top-down: d_i is d.d-checked, then
+ranked, then its columns are released.  When d_i is ranked, the check of
+d_{i+1} (its assembly and every square under it) and the assembly of d_i
+have both passed, so d_i . d_{i+1} = 0 holds where clearing uses it.  The
+Betti numbers are read only after every differential of v is checked: a
+corrupted differential fails as ``d.d != 0`` before a Betti number is
+derived from a cleared rank, and at most one differential's columns are
+held at a time.
 
-The socle of S/I in degree v is the kernel of the top differential d_N,
-N = ``ring.nvars``, in bidegree v + (num_p, num_q), where K_N is (S/I)_v
-itself.  ``socle`` and ``depth_zero_witness`` read it from one scan,
-``_top_kernels``, which yields each kernel basis in turn and releases its
-differential: ``socle`` counts the vectors, and the witness is the first
-vector of the first nonzero kernel.
+The socle of S/I in degree v, the annihilator of all the variables, is
+Tor_N^S(S/I, k) in bidegree v + (num_p, num_q), N = ``ring.nvars``: there
+K_N is (S/I)_v itself and d_N stacks the maps m -> x m.  ``socle`` and
+``depth_zero_witness`` read it from ``QuotientRing.annihilator``, which
+stacks those maps and takes their common kernel, with no Koszul complex
+built: ``socle`` counts the vectors, and the witness is the first vector of
+the first nonzero kernel.
 """
 
 from __future__ import annotations
@@ -104,10 +111,11 @@ from typing import NamedTuple
 from .betti import BettiTable
 from .fields import QQ, Field
 from .ideals import RepFamily
-from .linalg import Echelon, InvalidInputError, kernel_of_columns
-from .monomials import BiDegree, bidegrees_up_to_total, sub_bidegrees, total
+from .linalg import Echelon, InvalidInputError
+from .monomials import (BiDegree, _non_negative, bidegrees_up_to_total,
+                        sub_bidegrees, total)
 from .pieces import ideal_span_vectors
-from .polynomials import Polynomial, format_monomial, variable_names
+from .polynomials import Polynomial, format_polynomial
 from .quotient import QuotientRing, ring_for_family
 from .series import TruncatedSeries
 
@@ -288,11 +296,8 @@ class KoszulOracle:
 
     Every result is cached per (i, v) for the oracle's lifetime, unless
     ``release`` drops a differential's columns; the differentials dominate
-    its memory.  ``tor_over_S`` uses one oracle per bidegree v and checks,
-    ranks and releases its differentials top-down, so that ``rank`` can
-    clear the columns that d_{i+1} already proves dependent; until d_i is
-    ranked only the pivot indices of d_{i+1} are kept.  A rank asked for
-    on its own finds no pivots and ranks every column.
+    its memory.  ``_bidegree_betti`` is its one user: one oracle per
+    bidegree v, its differentials checked, ranked and released top-down.
     """
 
     def __init__(self, ring: QuotientRing, grading: _Grading | None = None):
@@ -351,15 +356,17 @@ class KoszulOracle:
         the face's block offset and its coordinate -> place map.  Built once
         for ``columns`` and ``check_dd``, and dropped with the columns.
 
-        (face, x m) has the weight of (eps, m), so a homogeneous map sends a
-        kept coordinate to coordinates that the face's block keeps.  A face
-        with no block is given offset 0 and an empty index: a homogeneous
-        map sends every kept coordinate there to 0."""
+        Each map is checked homogeneous (``_Grading.homogeneous``) as it is
+        bound, and a map that is not raises ``d.d != 0``.  (face, x m) has
+        the weight of (eps, m), so a homogeneous map sends a kept coordinate
+        to coordinates that the face's block keeps.  A face with no block is
+        given offset 0 and an empty index: a homogeneous map sends every
+        kept coordinate there to 0."""
         key = (i, v)
         got = self._removed.get(key)
         if got is not None:
             return got
-        ring = self.ring
+        ring, grading = self.ring, self.grading
         num_p = ring.num_p
         faces = _exterior_table(ring.nvars, num_p, i).faces
         targets = {eps: (off, k[2]) for eps, _, off, k in self.basis(i - 1, v)[0]}
@@ -371,6 +378,8 @@ class KoszulOracle:
             for r, face in enumerate(faces[eps]):
                 x = eps[r]
                 if ((w[0] + 1, w[1]) if x < num_p else (w[0], w[1] + 1)) in live:
+                    if not grading.homogeneous(x, w):
+                        raise AssertionError(f"d.d != 0 at i={i}, v={v}")
                     removals.append((r % 2, x, ring.mult_by_var(x, w),
                                      *targets.get(face, (0, {}))))
             got.append(removals)
@@ -400,22 +409,15 @@ class KoszulOracle:
         return cols
 
     def rank(self, i: int, v: BiDegree) -> int:
-        """Rank of d_i in bidegree v, skipping the columns that clearing
-        proves dependent.
+        """Rank of d_i in bidegree v, each pivot row counted with the orbit
+        size of its weight.
 
         If d_{i+1} was ranked first, the pivots of its column echelon are
-        dropped from d_i: a pivot row has smallest index j and lies in the
-        image of d_{i+1}, so by d.d = 0 the column j of d_i is a combination
-        of the columns after it.  By induction from the top index down, the
-        columns left span the same image, so the rank does not change.  The
-        pivot set is popped once read, and d_i leaves its own for d_{i-1}.
-        Clearing trusts d.d = 0, so a caller must run ``check_dd`` before it
-        derives anything from the rank.
-
-        The rank is weighted: each pivot row counts with the orbit size of
-        its weight.  A checked column has its entries in rows of its own
-        weight, so this sums |S_n . lambda| times the rank of each dominant
-        weight's block.
+        cleared from d_i (module docstring); the pivot set is popped once
+        read, and d_i leaves its own for d_{i-1}.  A rank asked for on its
+        own finds no pivots and ranks every column.  Clearing trusts
+        d.d = 0, so a caller must run ``check_dd`` before it derives
+        anything from the rank.
         """
         key = (i, v)
         got = self._rank.get(key)
@@ -443,9 +445,6 @@ class KoszulOracle:
         +-(x_a x_b m - x_b x_a m): removing a then b and b then a reach the
         same block with opposite signs.  So d.d = 0 exactly when
 
-        * every map read is homogeneous: each (x, w) of ``_removals`` sends
-          weight mu to mu + wt(x) (``_Grading.homogeneous``), so every entry
-          stays in a row of its column's weight, kept by the face's block;
         * the assembly holds: ``columns(i, v)`` has one column per kept
           basis element, holding exactly the entries (-1)^r x_r m of its
           removals at the indices of ``basis(i - 1, v)``, and
@@ -458,11 +457,11 @@ class KoszulOracle:
         This covers what the matrix product covers: built from the same
         multiplication maps, the product is zero exactly when those squares
         commute, and any wrong entry of ``columns(i, v)`` fails the assembly
-        whether or not the product would show it.  The maps are checked
-        before the columns are read, so ``columns`` finds every target in
-        its face's index.  ``columns(i - 1, v)`` is not built; where it is
-        ranked, its own check covers it, which is why i = 1 (where d_0 = 0)
-        checks the maps and the assembly alone.
+        whether or not the product would show it.  Every map it reads was
+        checked homogeneous where ``_removals`` bound it.
+        ``columns(i - 1, v)`` is not built; where it is ranked, its own
+        check covers it, which is why i = 1 (where d_0 = 0) checks the
+        assembly alone.
         """
         ring, grading = self.ring, self.grading
         if i < 1 or i > ring.nvars:
@@ -471,9 +470,6 @@ class KoszulOracle:
         p = ring.field.p
         blocks = self.basis(i, v)[0]
         removals = self._removals(i, v)
-        if not all(grading.homogeneous(x, w) for (_, w, _, _), maps in
-                   zip(blocks, removals) for _, x, _, _, _ in maps):
-            raise fail
         cols = self.columns(i, v)
         if len(cols) != len(self.basis(i, v)[1]):
             raise fail
@@ -535,13 +531,6 @@ def default_workers() -> int:
         raise InvalidInputError(
             f"MOMENTKOSZUL_THREADS {value!r} is not an integer") from None
     return _bounded_workers(workers)
-
-
-def _non_negative(**bounds):
-    """Refuse a negative bound; a bound of None is unbounded."""
-    if any(bound is not None and bound < 0 for bound in bounds.values()):
-        raise InvalidInputError("window must be non-negative, got " + ", ".join(
-            f"{name}={bound}" for name, bound in bounds.items()))
 
 
 def _keeps_ideal(ring: QuotientRing, perm) -> bool:
@@ -663,30 +652,14 @@ def tor_over_S(f: RepFamily, max_i: int | None = None,
     for the table to be trusted.
 
     The scanned pairs (i, v) are grouped by v and run highest total degree
-    first, so that a pool starts the largest complexes first.  Each
-    bidegree gets its own ``KoszulOracle``, which takes d_i and d_{i+1} for
-    every degree i of v whose piece is nonzero, top-down: each is
-    d.d-checked, then ranked with clearing, then its columns are released.
-    Only then are the beta_i(v) computed, because a cleared rank is right
-    only where d.d = 0.  The oracle is then dropped, so its bases and
-    ranks live only while v is computed, and the columns of one
-    differential at a time.  The quotient ring's pieces and multiplication
-    maps, and the grading's checked maps and squares, stay cached for the
-    whole call.
-    When the ring passes ``_swaps_p_and_q`` (every family does), only the
-    bidegrees (a, b) with a >= b are computed, and beta_i(a, b) for a < b is
-    read off (b, a): the checked swap p_k <-> q_k is a ring automorphism
-    that keeps I and carries the complex of (a, b) onto that of (b, a), so
-    the two are equal exactly.  Otherwise every bidegree is computed.
-    Within a bidegree, when the ring passes ``_torus_grading`` (every family
-    does), only the basis elements of dominant torus weight are ranked, each
-    counted with the size of its weight's S_n orbit: the checked
-    permutations generate S_n, keep I and carry the complex of one weight
-    onto that of every weight in its orbit, so the count is exact.
-    Otherwise every basis element is ranked and counted once.
-    ``workers`` > 1 maps whole bidegrees, d.d checks included, over a fork
-    pool; the entries and ``boundary_hits`` are assembled in scan order
-    (i, then v) either way, so the result is bit-identical.
+    first, so that a pool starts the largest complexes first, each v by
+    ``_bidegree_betti`` on an oracle of its own.  The mirror bidegrees and
+    the torus weights outside the dominant ones are read off, not ranked,
+    where the ring passes the checks the module docstring sets out (every
+    family does).  ``workers`` > 1 maps whole bidegrees, d.d checks
+    included, over a fork pool; the entries and ``boundary_hits`` are
+    assembled in scan order (i, then v) either way, so the result is
+    bit-identical.
     """
     from .closed import projective_dimension
 
@@ -747,52 +720,34 @@ def hilbert_oracle(f: RepFamily, order: int, fld: Field = QQ) -> TruncatedSeries
     return TruncatedSeries.make(("s", "t"), order, coeffs)
 
 
-def _top_kernels(ring: QuotientRing, max_total_degree: int):
-    """``(v, kernel basis)`` of the top Koszul differential for each nonzero
-    (S/I)_v with 0 < total(v) <= ``max_total_degree``, lazily, in
-    ``bidegrees_up_to_total`` order.
-
-    K_N, N = ``ring.nvars``, has one block in bidegree v + (num_p, num_q):
-    (S/I)_v itself.  The kernel of d_N there is the annihilator of all the
-    variables in (S/I)_v, in its quotient coordinates.  Each differential
-    is released once its kernel is read.
-    """
-    oracle = KoszulOracle(ring)
+def _annihilators(ring: QuotientRing, max_total_degree: int):
+    """``(v, ring.annihilator(v))`` for each nonzero (S/I)_v with
+    0 < total(v) <= ``max_total_degree``, lazily, in
+    ``bidegrees_up_to_total`` order."""
     for v in bidegrees_up_to_total(max_total_degree):
-        if v == (0, 0) or not ring.dim(v):
-            continue
-        top = (v[0] + ring.num_p, v[1] + ring.num_q)
-        kernel = kernel_of_columns(oracle.columns(ring.nvars, top), ring.field)
-        oracle.release(ring.nvars, top)
-        yield v, kernel
+        if total(v) and ring.dim(v):
+            yield v, ring.annihilator(v)
 
 
 def socle(f: RepFamily, max_total_degree: int, fld: Field = QQ) -> dict[BiDegree, int]:
-    """Dimension, per bidegree v, of the annihilator of all the variables.
-
-    That annihilator in degree v is the kernel of the top Koszul
-    differential on K_N = (S/I)_v, N = ``ring.nvars``, so it is
-    Tor_N^S(S/I, k) in bidegree v + (num_p, num_q).
-    """
+    """Dimension, per bidegree v, of the annihilator of all the variables:
+    Tor_N^S(S/I, k) in bidegree v + (num_p, num_q), N = ``ring.nvars``."""
     ring = ring_for_family(f, fld)
     _non_negative(max_total_degree=max_total_degree)
-    return {v: len(kernel) for v, kernel in _top_kernels(ring, max_total_degree)
+    return {v: len(kernel) for v, kernel in _annihilators(ring, max_total_degree)
             if kernel}
 
 
 def depth_zero_witness(f: RepFamily, fld: Field = QQ,
                        max_total_degree: int = 4) -> tuple[BiDegree, str] | None:
     """A nonzero low-degree socle element (witnessing depth zero), if any:
-    the first kernel vector of ``_top_kernels``, as a polynomial."""
+    the first vector of the first nonzero annihilator, as a polynomial."""
     ring = ring_for_family(f, fld)
     _non_negative(max_total_degree=max_total_degree)
-    names = variable_names(ring.num_p, ring.num_q, f.doubled_names)
-    for v, kernel in _top_kernels(ring, max_total_degree):
+    for v, kernel in _annihilators(ring, max_total_degree):
         if kernel:
             basis = ring.piece(v).basis
-            parts = []
-            for pos, c in sorted(kernel[0].items()):
-                mono = format_monomial(basis[pos], names)
-                parts.append(mono if c == 1 else f"{c}*{mono}")
-            return v, " + ".join(parts)
+            poly = Polynomial.from_dict(ring.num_p, ring.num_q, {
+                basis[pos]: c for pos, c in kernel[0].items()})
+            return v, format_polynomial(poly, f.doubled_names)
     return None

@@ -12,7 +12,8 @@ runs produce identical matrices.
 The multiplication maps are read off the reduced rows, not reduced: x times
 a standard monomial is either standard, its own coordinate, or a pivot
 monomial j, which is congruent to minus the reduced row of j without its
-pivot.  ``commutes`` composes two maps by lookup where a column is {k: 1}.
+pivot.  ``commutes`` composes two maps by lookup where a column is {k: 1},
+and ``annihilator`` stacks the maps of every variable to read the socle.
 
 ``QuotientRing.piece`` is the one route to (S/I)_v and its dimension.  A
 ``QuotientPiece`` holds the echelon of I_v (``rref``), the standard monomials
@@ -33,7 +34,7 @@ list and asks the listed degrees in increasing total degree.
 from __future__ import annotations
 
 from .fields import QQ, Field
-from .linalg import Echelon, axpy
+from .linalg import Echelon, axpy, kernel_of_columns
 from .monomials import BiDegree, ambient_dimension, basis_index, exponent_tuples, total
 from .pieces import _check_ambient, ideal_span_vectors
 
@@ -143,6 +144,22 @@ class QuotientRing:
                     cols.append({positions[k]: p - c for k, c in row.items() if k != j})
         self._mult[key] = cols
         return cols
+
+    def annihilator(self, v: BiDegree) -> list[dict]:
+        """Kernel basis of the annihilator of all the variables in (S/I)_v,
+        in its quotient coordinates, by ``kernel_of_columns``.
+
+        Column k stacks x times the k-th basis monomial for every variable
+        x, the map of x at the rows after the targets of the variables
+        before it.  The vectors are read off the reduced row echelon of that
+        matrix, which is canonical for its row space."""
+        cols = [{} for _ in range(self.dim(v))]
+        offset = 0
+        for x in range(self.nvars):
+            for col, image in zip(cols, self.mult_by_var(x, v)):
+                col.update((offset + t, c) for t, c in image.items())
+            offset += self.dim(self._shifted(v, x))
+        return kernel_of_columns(cols, self.field)
 
     def commutes(self, x: int, y: int, v: BiDegree) -> bool:
         """Whether x * y = y * x on (S/I)_v, composing ``mult_by_var`` maps.

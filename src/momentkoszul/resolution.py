@@ -86,12 +86,12 @@ from .fields import QQ, Field
 from .ideals import RepFamily
 from .linalg import (
     Echelon,
-    InvalidInputError,
     kernel_of_columns,
     rank_of_columns,
 )
 from .monomials import (
     BiDegree,
+    _non_negative,
     basis_index,
     bidegrees_up_to_total,
     sub_bidegrees,
@@ -288,10 +288,7 @@ def resolve_k_over_quotient(f: RepFamily, max_i: int, max_total_degree: int,
                             fld: Field = QQ) -> BettiTable:
     """Betti table of the residue field over S/I, exact within the window
     i <= max_i, total degree <= max_total_degree."""
-    if max_i < 0 or max_total_degree < 0:
-        raise InvalidInputError(
-            f"resolution window must be non-negative, got max_i={max_i}, "
-            f"max_total_degree={max_total_degree}")
+    _non_negative(max_i=max_i, max_total_degree=max_total_degree)
     ring = ring_for_family(f, fld)
     entries = {(0, (0, 0)): 1}
     # F_0, ..., F_max_i

@@ -70,3 +70,16 @@ def test_ext_module_candidate_resolution():
             assert data["first_diagonal_mismatch"][0] == (1, 1)
         both = gl_ext_module_candidates(1, fld)
         assert both["full_matches"] and both["diagonal_matches"]
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(3), GF(7)], ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ext_module_candidates_keep_their_pinned_values(n, fld):
+    # recorded when each piece was ranked by an echelon of its products; the
+    # diagonal ideal has n of the n^2 monomials of bidegree (1, 1)
+    mismatch = None if n == 1 else ((1, 1), n, n * n)
+    assert gl_ext_module_candidates(n, fld) == {
+        "full_matches": True,
+        "diagonal_matches": n == 1,
+        "first_diagonal_mismatch": mismatch,
+    }

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import time
@@ -20,7 +21,7 @@ from momentkoszul.closed import (
 from momentkoszul.fields import GF, QQ
 from momentkoszul.ideals import family
 from momentkoszul import ideals, oracle
-from momentkoszul.linalg import Echelon, InvalidInputError, axpy
+from momentkoszul.linalg import Echelon, InvalidInputError, axpy, kernel_of_columns
 from momentkoszul.monomials import bidegrees_up_to_total, total
 from momentkoszul.oracle import (
     KoszulOracle,
@@ -30,7 +31,7 @@ from momentkoszul.oracle import (
     socle,
     tor_over_S,
 )
-from momentkoszul.polynomials import Polynomial
+from momentkoszul.polynomials import Polynomial, format_polynomial
 from momentkoszul.quotient import QuotientRing, ring_for_family
 from momentkoszul.verify import ORACLE_RANGE
 
@@ -128,6 +129,34 @@ def test_socle_equals_the_dense_annihilator(kind, n, fld):
     assert socle(family(kind, n), 4, fld) == expected
 
 
+def small_artinian_ring(fld) -> QuotientRing:
+    """S/I on p1, p2, q1 with I = (p1^2 - p2^2, p1*p2, q1^2, p1*q1 + 2*p2*q1):
+    zero above total degree 2, and the maps of p and of q out of (1, 0) both
+    land in nonzero pieces, so rows stacked at a wrong offset collide."""
+    terms = [{(2, 0, 0): 1, (0, 2, 0): -1}, {(1, 1, 0): 1}, {(0, 0, 2): 1},
+             {(1, 0, 1): 1, (0, 1, 1): 2}]
+    return QuotientRing([Polynomial.from_dict(2, 1, t) for t in terms], 2, 1, fld)
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(32003)], ids=str)
+@pytest.mark.parametrize("case", [*ORACLE_RANGE, "small"],
+                         ids=lambda case: "%s_%d" % case if case != "small" else case)
+def test_annihilator_is_the_kernel_of_the_top_koszul_differential(case, fld):
+    # d_N on K_N = (S/I)_v stacks the same maps with signs and in another
+    # row order, so the reduced row echelon, and the kernel basis, agree
+    ring = (small_artinian_ring(fld) if case == "small"
+            else ring_for_family(family(*case), fld))
+    whole = KoszulOracle(ring)
+    nonzero = 0
+    for v in bidegrees_up_to_total(4):
+        top = (v[0] + ring.num_p, v[1] + ring.num_q)
+        kernel = ring.annihilator(v)
+        assert kernel == kernel_of_columns(whole.columns(ring.nvars, top), fld), v
+        nonzero += bool(kernel)
+    if case == "small":
+        assert nonzero == 2  # (2, 0) and (1, 1), each spanned by its one monomial
+
+
 def test_depth_witnesses():
     assert depth_zero_witness(family("sl", 2)) is not None
     assert depth_zero_witness(family("sp", 2)) is not None
@@ -137,24 +166,55 @@ def test_depth_witnesses():
     assert v == (1, 1) and text  # the class of the diagonal quadric
 
 
+# socle(f, 4) and depth_zero_witness(f), recorded when both read the kernel
+# of the top Koszul differential of a whole-complex oracle
+PINNED_SOCLES = {
+    ("gl", 1): ({}, None), ("gl", 2): ({}, None), ("gl", 3): ({}, None),
+    ("sl", 1): ({}, None),
+    ("sl", 2): ({(1, 1): 1}, ((1, 1), "p2*q2")),
+    ("sl", 3): ({(1, 1): 1}, ((1, 1), "p3*q3")),
+    ("sl", 4): ({(1, 1): 1}, ((1, 1), "p4*q4")),
+    ("so", 1): ({}, None), ("so", 2): ({}, None), ("so", 3): ({}, None),
+    ("so", 4): ({}, None),
+    ("sp", 1): ({(1, 1): 1}, ((1, 1), "p21*q21")),
+    ("sp", 2): ({(1, 1): 6}, ((1, 1), "p12*q21")),
+    ("sp", 3): ({(1, 1): 15}, ((1, 1), "p12*q21")),
+}
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(32003)], ids=str)
+@pytest.mark.parametrize("kind, n", PINNED_SOCLES)
+def test_socle_and_depth_witness_keep_their_pinned_values(kind, n, fld):
+    assert {*ORACLE_RANGE, ("sl", 4), ("so", 4), ("sp", 3)} == set(PINNED_SOCLES)
+    f = family(kind, n)
+    assert (socle(f, 4, fld), depth_zero_witness(f, fld)) == PINNED_SOCLES[(kind, n)]
+
+
+def test_depth_witness_prints_its_vector_as_a_polynomial(monkeypatch):
+    # a vector with a negative coefficient, printed as the generators are
+    f = family("sp", 2)
+    basis = ring_for_family(f).piece((1, 1)).basis
+    monkeypatch.setattr(QuotientRing, "annihilator",
+                        lambda self, v: [{0: 1, 1: -2}] if v == (1, 1) else [])
+    poly = Polynomial.from_dict(f.num_p, f.num_q, {basis[0]: 1, basis[1]: -2})
+    text = format_polynomial(poly, f.doubled_names)
+    assert " - 2*" in text
+    assert depth_zero_witness(f) == ((1, 1), text)
+
+
 @pytest.mark.parametrize("kind", ["sl", "sp"])
 def test_depth_witness_kernels_are_killed_by_every_variable(monkeypatch, kind):
     f = family(kind, 2)
     ring = ring_for_family(f)
     built = []  # [(v, kernel vectors)] as depth_zero_witness builds them
-    columns, kernel_of_columns = KoszulOracle.columns, oracle.kernel_of_columns
+    annihilator = QuotientRing.annihilator
 
-    def recording_columns(self, i, top):
-        built.append(((top[0] - ring.num_p, top[1] - ring.num_q), []))
-        return columns(self, i, top)
-
-    def recording_kernel(cols, fld):
-        kernel = kernel_of_columns(cols, fld)
-        built[-1][1].extend(kernel)
+    def recording_annihilator(self, v):
+        kernel = annihilator(self, v)
+        built.append((v, kernel))
         return kernel
 
-    monkeypatch.setattr(KoszulOracle, "columns", recording_columns)
-    monkeypatch.setattr(oracle, "kernel_of_columns", recording_kernel)
+    monkeypatch.setattr(QuotientRing, "annihilator", recording_annihilator)
     assert depth_zero_witness(f) is not None
     assert built[-1][1]
     for v, kernel in built:
@@ -717,6 +777,34 @@ def test_d_squared_catches_an_entry_in_a_row_of_another_weight(monkeypatch, work
     monkeypatch.setattr(QuotientRing, "commutes", lambda self, x, y, v: True)
     with pytest.raises(AssertionError, match=r"d\.d != 0"):
         tor_over_S(f, workers=workers)
+
+
+def test_columns_on_their_own_catch_an_entry_in_a_row_of_another_weight(monkeypatch):
+    # columns asked for with no check_dd first: every differential that reads
+    # the moved map raises d.d != 0, and every other one is unchanged
+    f = family("sl", 3)
+    keys = [(i, v) for i in range(1, 7) for v in bidegrees_up_to_total(i + 3)]
+    assert len(keys) == 200
+    ring = ring_for_family(f)
+    clean = KoszulOracle(ring, oracle._torus_grading(ring, f.torus_weights))
+    moved_map = (0, (1, 0))
+    reads, expected = set(), {}
+    for i, v in keys:
+        if any((x, w) == moved_map for (_, w, _, _), maps in
+               zip(clean.basis(i, v)[0], clean._removals(i, v))
+               for _, x, _, _, _ in maps):
+            reads.add((i, v))
+        expected[(i, v)] = clean.columns(i, v)
+    assert reads
+    monkeypatch.setattr(QuotientRing, "mult_by_var", moved_to_another_weight(f, *moved_map))
+    ring = ring_for_family(f)
+    kept = KoszulOracle(ring, oracle._torus_grading(ring, f.torus_weights))
+    for i, v in keys:
+        if (i, v) in reads:
+            with pytest.raises(AssertionError, match=re.escape(f"d.d != 0 at i={i}, v={v}")):
+                kept.columns(i, v)
+        else:
+            assert kept.columns(i, v) == expected[(i, v)], (i, v)
 
 
 def kept_row_of_another_weight(f):
