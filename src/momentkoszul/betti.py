@@ -79,11 +79,8 @@ class BettiTable:
 
     def render_text(self) -> str:
         max_i = self.max_i()
-        strands = sorted({total(v) - i for (i, v) in self.entries} | {0})
-        grid = {}
-        for (i, v), c in self.entries.items():
-            r = total(v) - i
-            grid[(r, i)] = grid.get((r, i), 0) + c
+        grid = strand_grid(self)
+        strands = {r for (r, _) in grid} | {0}
         header = [""] + [str(i) for i in range(max_i + 1)]
         rows = [header]
         for r in range(min(strands), max(strands) + 1):
@@ -120,3 +117,13 @@ class BettiTable:
 
     def render_json(self) -> str:
         return json.dumps(self.as_json_dict(), indent=2)
+
+
+def strand_grid(table: BettiTable) -> dict:
+    """Collapse a graded table to its (strand, i) -> total grid, where the
+    strand is the total internal degree minus i."""
+    grid: dict[tuple[int, int], int] = {}
+    for (i, v), c in table.entries.items():
+        key = (total(v) - i, i)
+        grid[key] = grid.get(key, 0) + c
+    return grid

@@ -1,6 +1,6 @@
 """Closed formulas: Hilbert series, graded Betti tables, Poincare series,
-the positive-part operator, Euler-characteristic checks, and the residue
-field series for the orthogonal family.
+Euler-characteristic checks, and the residue field series for the
+orthogonal family.
 
 Conventions.  Hilbert series live in (s, t); trigraded Poincare series live
 in (s, t, u) with u marking homological degree, so the coefficient of
@@ -19,7 +19,7 @@ from math import comb
 from .betti import BettiTable
 from .ideals import FamilyKind, RepFamily
 from .monomials import total
-from .series import TruncatedSeries, binomial_power, geometric_inverse_power
+from .series import TruncatedSeries, geometric_inverse_power
 
 ST = ("s", "t")
 STU = ("s", "t", "u")
@@ -69,21 +69,35 @@ def hilbert_closed(f: RepFamily, order: int) -> TruncatedSeries:
 # -- graded Betti tables ----------------------------------------------------
 
 def betti_closed(f: RepFamily) -> BettiTable:
+    """Graded Betti table of S/(mu) over S, one formula per family:
+
+    - gl_n: C(n,a) C(n,b) at (a+b-1, (a, b)) for 1 <= a, b <= n;
+    - sl_n, n >= 2: D(a,b) = C(n,a) C(n,b) - C(n,a-1) C(n,b-1) for
+      1 <= a, b <= n+1, at (a+b-1, (a, b)) when D > 0 and -D at
+      (a+b-2, (a, b)) when D < 0; sl_1 is beta_0 alone;
+    - so_n: C(n, i+1) at (i, v) for 1 <= i < n and every v1, v2 >= 1 with
+      v1 + v2 = i+1;
+    - sp_n: 2n^2+n at (1, (1, 1)), and for 2 <= i <= 4n and v1 + v2 = i+2,
+      (2n^2-n) C(2n,v1-1) C(2n,v2-1) - C(2n,v1) C(2n,v2) at (i, v).
+
+    The sl table is the paper's series, with G = (1+su)^n (1+tu)^n:
+    1 + u^-1([(1-stu^2)G]_+ + 1 - (1+su)^n - (1+tu)^n) + u^-2[(stu^2-1)G]_+.
+    """
     n = f.n
     entries = {(0, (0, 0)): 1}
     if f.kind is FamilyKind.GL:
-        for i in range(1, 2 * n):
-            for v1 in range(1, i + 1):
-                v2 = i + 1 - v1
-                c = comb(n, v1) * comb(n, v2)
-                if c:
-                    entries[(i, (v1, v2))] = c
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                entries[(a + b - 1, (a, b))] = comb(n, a) * comb(n, b)
     elif f.kind is FamilyKind.SL:
         if n > 1:
-            series = poincare_over_S(f)
-            for (a, b, i), c in series.coefficients.items():
-                if i > 0:
-                    entries[(i, (a, b))] = c
+            for a in range(1, n + 2):
+                for b in range(1, n + 2):
+                    d = comb(n, a) * comb(n, b) - comb(n, a - 1) * comb(n, b - 1)
+                    if d > 0:
+                        entries[(a + b - 1, (a, b))] = d
+                    elif d < 0:
+                        entries[(a + b - 2, (a, b))] = -d
     elif f.kind is FamilyKind.SO:
         for i in range(1, n):
             c = comb(n, i + 1)
@@ -106,41 +120,14 @@ def betti_closed(f: RepFamily) -> BettiTable:
 # -- Poincare series over the ambient ring ----------------------------------
 
 def poincare_over_S(f: RepFamily, order: int | None = None) -> TruncatedSeries:
-    """Trigraded generating function sum beta_{i,v} s^{v1} t^{v2} u^i."""
-    n = f.n
-    if f.kind is FamilyKind.GL:
-        full = 4 * n + 2
-        work = full if order is None else max(order, full)
-        su = binomial_power(STU, work, "s", "u", n)
-        tu = binomial_power(STU, work, "t", "u", n)
-        one = TruncatedSeries.one(STU, work)
-        prod = (su - one) * (tu - one)
-        # every term carries u at least twice; the shift must be exact
-        series = one + prod.shift_down("u")
-    elif f.kind is FamilyKind.SL:
-        if n == 1:
-            work = 2 if order is None else order
-            return TruncatedSeries.one(STU, work).restricted_to(work)
-        full = 4 * n + 6
-        work = full if order is None else max(order, full)
-        su = binomial_power(STU, work, "s", "u", n)
-        tu = binomial_power(STU, work, "t", "u", n)
-        one = TruncatedSeries.one(STU, work)
-        G = su * tu
-        stuu = TruncatedSeries.monomial(STU, work, (1, 1, 2))
-        pos_low = ((one - stuu) * G).positive_part()   # strand at total degree i+1
-        pos_high = ((stuu - one) * G).positive_part()  # strand at total degree i+2
-        middle = pos_low + one - su - tu
-        series = one + middle.shift_down("u") + pos_high.shift_down("u", 2)
-    else:
-        table = betti_closed(f)
-        full = max((total(v) + i for (i, v) in table.entries), default=0)
-        work = full if order is None else max(order, full)
-        coeffs = {(v[0], v[1], i): c for (i, v), c in table.entries.items()}
-        series = TruncatedSeries.make(STU, work, coeffs)
-    if order is not None:
-        return series.restricted_to(order)
-    return series
+    """Trigraded generating function sum beta_{i,v} s^{v1} t^{v2} u^i of the
+    ``betti_closed`` table, truncated at ``order``; without one, its order is
+    the top total degree v1 + v2 + i of the table."""
+    entries = betti_closed(f).entries
+    if order is None:
+        order = max(total(v) + i for (i, v) in entries)
+    coeffs = {(v[0], v[1], i): c for (i, v), c in entries.items()}
+    return TruncatedSeries.make(STU, order, coeffs)
 
 
 def poincare_k_over_so(n: int, order: int) -> TruncatedSeries:

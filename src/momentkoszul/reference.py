@@ -8,8 +8,7 @@ verification suite reproduces them bit-exactly from the closed forms.
 
 from __future__ import annotations
 
-from .betti import BettiTable
-from .monomials import total
+from .betti import strand_grid  # noqa: F401  (the suites read it from here)
 
 SL_TABLES = {
     2: {(0, 0): 1, (1, 1): 3, (2, 2): 5, (2, 3): 4, (2, 4): 1},
@@ -35,12 +34,3 @@ SP_TABLES = {
 
 #: Catalan numbers highlighted in the strand-2 rows, at column i = n.
 SL_FRAMED = {2: 5, 3: 14, 4: 42, 5: 132, 6: 429}
-
-
-def strand_grid(table: BettiTable) -> dict:
-    """Collapse a graded table to its (strand, i) -> total grid."""
-    grid: dict[tuple[int, int], int] = {}
-    for (i, v), c in table.entries.items():
-        key = (total(v) - i, i)
-        grid[key] = grid.get(key, 0) + c
-    return grid

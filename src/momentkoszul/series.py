@@ -151,18 +151,6 @@ class TruncatedSeries:
             {e: c for e, c in self.coefficients.items() if c > 0},
         )
 
-    def shift_down(self, var: str, k: int = 1) -> "TruncatedSeries":
-        """Divide by var**k; raises when any surviving term is not divisible."""
-        i = self._exp(var)
-        acc = {}
-        for e, c in self.coefficients.items():
-            if e[i] < k:
-                raise SeriesError(
-                    f"series not divisible by {var}^{k}: term {e} has coefficient {c}"
-                )
-            acc[e[:i] + (e[i] - k,) + e[i + 1:]] = c
-        return TruncatedSeries.make(self.variables, self.order, acc)
-
     def restricted_to(self, order: int) -> "TruncatedSeries":
         return TruncatedSeries.make(self.variables, order, self.coefficients)
 
@@ -197,18 +185,4 @@ def geometric_inverse_power(variables, order: int, var: str, n: int) -> Truncate
         e = [0] * len(variables)
         e[i] = a
         coeffs[tuple(e)] = comb(n + a - 1, a)
-    return TruncatedSeries.make(variables, order, coeffs)
-
-
-def binomial_power(variables, order: int, var_main: str, var_u: str, n: int) -> TruncatedSeries:
-    """The polynomial (1 + var_main*var_u)^n as a truncated series."""
-    variables = tuple(variables)
-    i = variables.index(var_main)
-    j = variables.index(var_u)
-    coeffs = {}
-    for a in range(n + 1):
-        e = [0] * len(variables)
-        e[i] = a
-        e[j] = a
-        coeffs[tuple(e)] = comb(n, a)
     return TruncatedSeries.make(variables, order, coeffs)

@@ -46,14 +46,11 @@ def check(name, ok, detail=""):
 
 def suite_reference_tables():
     checks = []
-    for n, grid in SL_TABLES.items():
-        got = strand_grid(betti_closed(family("sl", n)))
-        checks.append(check(f"reference-table sl_{n}", got == grid,
-                            "" if got == grid else f"got {sorted(got.items())}"))
-    for n, grid in SP_TABLES.items():
-        got = strand_grid(betti_closed(family("sp", n)))
-        checks.append(check(f"reference-table sp_{n}", got == grid,
-                            "" if got == grid else f"got {sorted(got.items())}"))
+    for kind, tables in (("sl", SL_TABLES), ("sp", SP_TABLES)):
+        for n, grid in tables.items():
+            got = strand_grid(betti_closed(family(kind, n)))
+            checks.append(check(f"reference-table {kind}_{n}", got == grid,
+                                "" if got == grid else f"got {sorted(got.items())}"))
     for n, framed in SL_FRAMED.items():
         got = betti_closed(family("sl", n)).total_beta(n)
         ok = got == framed == catalan(n + 1)

@@ -1,6 +1,9 @@
 """Closed-form Hilbert series, Betti tables and Poincare series."""
 
+import hashlib
+import json
 from math import comb
+from pathlib import Path
 
 from momentkoszul.closed import (
     betti_closed,
@@ -19,6 +22,13 @@ from momentkoszul.reference import SL_FRAMED, SL_TABLES, SP_TABLES, strand_grid
 from momentkoszul.series import TruncatedSeries, geometric_inverse_power
 
 from helpers import series_coeffs_one_var
+
+STU = ("s", "t", "u")
+
+#: Digests of every table and printed Poincare series in ``_pinned_cases``,
+#: recorded from the earlier implementation that read the gl and sl tables
+#: off their generating functions.
+DIGESTS = Path(__file__).parent / "data" / "closed_digests.json"
 
 FAMILIES_SMALL = [("gl", 1), ("gl", 2), ("gl", 3),
                   ("sl", 1), ("sl", 2), ("sl", 3),
@@ -65,6 +75,71 @@ def test_reference_strand_grids_are_reproduced_exactly():
         assert strand_grid(betti_closed(family("sl", n))) == grid
     for n, grid in SP_TABLES.items():
         assert strand_grid(betti_closed(family("sp", n))) == grid
+
+
+def _pinned_cases():
+    """Orders 0, 3, 12 and 4n + 7, for gl, sl, so with n <= 40 and sp with n <= 20."""
+    for kind, top in (("gl", 40), ("sl", 40), ("so", 40), ("sp", 20)):
+        for n in range(1, top + 1):
+            for order in sorted({0, 3, 12, 4 * n + 7}):
+                yield kind, n, order
+
+
+def _closed_digest(kind, n, order):
+    f = family(kind, n)
+    text = f"{sorted(betti_closed(f).entries.items())}\n{poincare_over_S(f, order)}"
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_tables_and_series_match_their_recorded_digests():
+    want = json.loads(DIGESTS.read_text())
+    got = {f"{k}_{n}@{o}": _closed_digest(k, n, o) for k, n, o in _pinned_cases()}
+    assert got.keys() == want.keys()
+    assert [key for key in want if got[key] != want[key]] == []
+
+
+def _binomial_u(n, var, order):
+    """(1 + x u)^n in (s, t, u), x the variable at index ``var``."""
+    coeffs = {}
+    for a in range(n + 1):
+        e = [0, 0, a]
+        e[var] = a
+        coeffs[tuple(e)] = comb(n, a)
+    return TruncatedSeries.make(STU, order, coeffs)
+
+
+def _entries_of(*shifted):
+    """Betti entries of 1 + sum u^-k * series over the (k, series) pairs;
+    every term must carry u at least k times."""
+    entries = {(0, (0, 0)): 1}
+    for k, series in shifted:
+        for (a, b, i), c in series.coefficients.items():
+            assert i >= k, (a, b, i, c)
+            key = (i - k, (a, b))
+            entries[key] = entries.get(key, 0) + c
+    return entries
+
+
+def test_sl_table_is_the_paper_positive_part_series():
+    # 1 + u^-1([(1-stu^2)G]_+ + 1 - (1+su)^n - (1+tu)^n) + u^-2[(stu^2-1)G]_+
+    for n in range(2, 13):
+        order = 4 * n + 6
+        one = TruncatedSeries.one(STU, order)
+        stuu = TruncatedSeries.monomial(STU, order, (1, 1, 2))
+        su, tu = _binomial_u(n, 0, order), _binomial_u(n, 1, order)
+        G = su * tu
+        low = ((one - stuu) * G).positive_part() + one - su - tu
+        high = ((stuu - one) * G).positive_part()
+        assert betti_closed(family("sl", n)).entries == _entries_of((1, low), (2, high)), n
+
+
+def test_gl_table_is_the_paper_product_series():
+    # 1 + u^-1 ((1+su)^n - 1) ((1+tu)^n - 1)
+    for n in range(1, 13):
+        order = 4 * n + 2
+        one = TruncatedSeries.one(STU, order)
+        prod = (_binomial_u(n, 0, order) - one) * (_binomial_u(n, 1, order) - one)
+        assert betti_closed(family("gl", n)).entries == _entries_of((1, prod)), n
 
 
 def test_gl1_table_is_the_hypersurface():
