@@ -139,7 +139,7 @@ def _ideal_piece_dim(n: int, pairs, a: int, b: int) -> int:
     return len(hit)
 
 
-def gl_ext_module_candidates(n: int, fld: Field = QQ) -> dict:
+def gl_ext_module_candidates(n: int) -> dict:
     """Compare two candidate exterior ideals against the cohomology module of
     the monomial-quadric quotient.
 
@@ -147,7 +147,7 @@ def gl_ext_module_candidates(n: int, fld: Field = QQ) -> dict:
     a, b >= 1.  Candidates: the ideal generated by ALL e_i f_j, and the one
     generated by the diagonal e_j f_j only.  Returns which candidate matches,
     as observed data; monomial ideals have the same dimensions over every
-    field, so ``fld`` does not change the answer.
+    field, so no field is asked for.
     """
     full_pairs = [(i, j) for i in range(n) for j in range(n)]
     diag_pairs = [(j, j) for j in range(n)]

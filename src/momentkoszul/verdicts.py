@@ -7,6 +7,13 @@ against C(beta_1, i); a residue-field resolution whose top degree jumps above
 the homological degree.  A truncated product check (the residue-field series
 against the Hilbert series) is recorded as evidence only, since a finite window
 can never certify Koszulness.
+
+The verdict is read off the evidence by one rule: "not-koszul" when some
+evidence has ``passed=False`` (an obstruction that holds, computed or cited),
+"koszul" when some has ``passed=True`` (a certificate that holds), and
+"undetermined" otherwise.  A certificate that fails and an obstruction that
+finds nothing are informational (``passed=None``).  Evidence of both kinds at
+once is a contradiction and raises ``AssertionError``.
 """
 
 from __future__ import annotations
@@ -44,10 +51,19 @@ class Evidence:
 class KoszulVerdict:
     family: str
     n: int
-    verdict: str  # "koszul" | "not-koszul" | "undetermined"
     evidence: list[Evidence] = dc_field(default_factory=list)
     # (i, v) of a computed resolution at its degree bound, as in BettiTable
     boundary_hits: list = dc_field(default_factory=list)
+
+    @property
+    def verdict(self) -> str:
+        passed = {e.passed for e in self.evidence}
+        if True in passed and False in passed:
+            raise AssertionError(
+                f"{self.family}_{self.n}: a certificate and an obstruction both hold")
+        if False in passed:
+            return "not-koszul"
+        return "koszul" if True in passed else "undetermined"
 
     def summary(self) -> str:
         head = f"{self.family}_{self.n}: {self.verdict}"
@@ -107,11 +123,8 @@ def resolution_jump(f: RepFamily, fld: Field = QQ,
     """``(jump, boundary_hits)`` of the residue-field resolution in the
     window (default i <= n + 1, total degree <= n + 3): jump is the first
     (i, top_i) with top_i > i, or None; boundary_hits is the table's."""
-    n = f.n
-    if max_i is None:
-        max_i = n + 1
-    if max_total_degree is None:
-        max_total_degree = n + 3
+    max_i = f.n + 1 if max_i is None else max_i
+    max_total_degree = f.n + 3 if max_total_degree is None else max_total_degree
     table = resolve_k_over_quotient(f, max_i, max_total_degree, fld)
     for i in range(1, max_i + 1):
         top = table.top(i)
@@ -128,32 +141,27 @@ def _diagonal_inequality(table: BettiTable, decisive: bool) -> Evidence | None:
     if not violated:
         return None
     i, lhs, rhs = first
-    return Evidence(
-        "diagonal-inequality-obstruction",
-        f"beta_{i} in total degree {2 * i} is {lhs} > C(beta_1, {i}) = {rhs}",
-        False if decisive else None,
-    )
+    detail = (f"beta_1 is {lhs} > {rhs}, its part in total degree 2" if i == 1
+              else f"beta_{i} in total degree {2 * i} is {lhs} > C(beta_1, {i}) = {rhs}")
+    return Evidence("diagonal-inequality-obstruction", detail,
+                    False if decisive else None)
 
 
 def verdict(f: RepFamily, fld: Field = QQ) -> KoszulVerdict:
-    """Family-level routing: monomial certificate for gl, linear strand for
-    so, resolution jump for sl (small n), diagonal inequality for sp."""
-    name = f.kind.value
+    """Collect the family's evidence: the monomial certificate for gl (and
+    the empty sl_1), the linear strand for so, the resolution jump for sl
+    (computed for n <= 3, cited above), the diagonal inequality for sp."""
     n = f.n
-    ev: list[Evidence] = []
-
-    gens = generators(f)
-    mono_cert = quadratic_monomial_certificate(gens)
-    ev.append(Evidence(
+    mono_cert = quadratic_monomial_certificate(generators(f))
+    ev = [Evidence(
         "quadratic-monomial-certificate",
         "all generators are quadratic monomials" if mono_cert
         else "generators include non-monomial quadrics",
         mono_cert or None,
-    ))
+    )]
+    out = KoszulVerdict(f.kind.value, n, ev)
     if mono_cert:
-        # covers gl for every n, and the degenerate sl_1 (empty generator set)
-        return KoszulVerdict(name, n, "koszul", ev)
-
+        return out
     table = betti_closed(f)
 
     if f.kind is FamilyKind.SO:
@@ -161,62 +169,37 @@ def verdict(f: RepFamily, fld: Field = QQ) -> KoszulVerdict:
         ev.append(Evidence(
             "linear-strand-certificate",
             f"top(i) <= i+1 holds through s={s} of projective dimension {table.max_i()}",
-            full,
+            full or None,
         ))
-        check = froberg_product(
-            poincare_k_over_so(n, 8),
-            hilbert_closed(f, 8).collapse("u"),
-            8,
-        )
+        check = froberg_product(poincare_k_over_so(n, 8),
+                                hilbert_closed(f, 8).collapse("u"), 8)
         ev.append(Evidence(
             "series-product-check",
             "P(-u) * H(u) = 1 through order 8" if check.is_one()
             else f"P(-u) * H(u) != 1: {check}",
             None,
         ))
-        if full:
-            return KoszulVerdict(name, n, "koszul", ev)
-        return KoszulVerdict(name, n, "undetermined", ev)
-
-    if f.kind is FamilyKind.SP:
-        diagonal = _diagonal_inequality(table, decisive=True)
-        if diagonal:
-            ev.append(diagonal)
-            return KoszulVerdict(name, n, "not-koszul", ev)
-        ev.append(Evidence(
-            "diagonal-inequality-obstruction",
-            "no violation in the closed table",
-            None,
-        ))
-        return KoszulVerdict(name, n, "undetermined", ev)
-
-    if f.kind is FamilyKind.SL:
+    elif f.kind is FamilyKind.SP:
+        ev.append(_diagonal_inequality(table, decisive=True) or Evidence(
+            "diagonal-inequality-obstruction", "no violation in the closed table", None))
+    elif f.kind is FamilyKind.SL:
         diagonal = _diagonal_inequality(table, decisive=False)
         if diagonal:
             ev.append(diagonal)
         if n <= 3:
-            jump, hits = resolution_jump(f, fld)
-            if jump is not None:
-                i, top = jump
-                ev.append(Evidence(
-                    "resolution-top-degree-obstruction",
-                    f"top_{i} of the residue field resolution is {top} > {i}",
-                    False,
-                ))
-                return KoszulVerdict(name, n, "not-koszul", ev, hits)
+            jump, out.boundary_hits = resolution_jump(f, fld)
             ev.append(Evidence(
                 "resolution-top-degree-obstruction",
-                "no jump found inside the resource window",
-                None,
+                f"top_{jump[0]} of the residue field resolution is {jump[1]} > {jump[0]}"
+                if jump else "no jump found inside the resource window",
+                False if jump else None,
             ))
-            return KoszulVerdict(name, n, "undetermined", ev, hits)
-        ev.append(Evidence(
-            "resolution-top-degree-obstruction",
-            f"oracle bound exceeded at n={n}; the degree jump at step n+1 is "
-            "established for the family in general and not recomputed here",
-            False,
-            cited="arXiv 1705.02688",
-        ))
-        return KoszulVerdict(name, n, "not-koszul", ev)
-
-    return KoszulVerdict(name, n, "undetermined", ev)
+        else:
+            ev.append(Evidence(
+                "resolution-top-degree-obstruction",
+                f"oracle bound exceeded at n={n}; the degree jump at step n+1 is "
+                "established for the family in general and not recomputed here",
+                False,
+                cited="arXiv 1705.02688",
+            ))
+    return out

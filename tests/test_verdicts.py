@@ -1,8 +1,16 @@
+import json
 from math import comb
 
+import pytest
+
+from momentkoszul import verdicts
+from momentkoszul.betti import BettiTable
 from momentkoszul.closed import betti_closed
 from momentkoszul.ideals import family, generators
 from momentkoszul.verdicts import (
+    Evidence,
+    KoszulVerdict,
+    _diagonal_inequality,
     aci_obstruction,
     quadratic_monomial_certificate,
     resolution_jump,
@@ -67,16 +75,61 @@ def test_top_degree_obstruction_sl3():
 
 
 def test_verdicts_match_the_main_theorem():
-    expected = {
-        ("gl", 1): "koszul", ("gl", 2): "koszul", ("gl", 5): "koszul",
-        ("so", 1): "koszul", ("so", 2): "koszul", ("so", 3): "koszul",
-        ("so", 6): "koszul",
-        ("sl", 2): "not-koszul", ("sl", 3): "not-koszul", ("sl", 4): "not-koszul",
-        ("sp", 1): "not-koszul", ("sp", 2): "not-koszul", ("sp", 4): "not-koszul",
-    }
+    # gl and so are Koszul, sl and sp are not; sl_1 is the zero ideal
+    expected = {("gl", n): "koszul" for n in range(1, 9)}
+    expected.update({("so", n): "koszul" for n in range(1, 9)})
+    expected.update({("sp", n): "not-koszul" for n in range(1, 9)})
+    expected.update({("sl", n): "not-koszul" for n in range(2, 7)})
+    expected["sl", 1] = "koszul"
     for (kind, n), want in expected.items():
         v = verdict(family(kind, n))
         assert v.verdict == want, (kind, n, v.summary())
+
+
+def _evidence(passed):
+    return Evidence("hand-made", f"passed={passed}", passed,
+                    cited="a source" if passed is False else None)
+
+
+@pytest.mark.parametrize("passed, want", [
+    ((), "undetermined"),
+    ((None,), "undetermined"),
+    ((None, True), "koszul"),
+    ((True, True), "koszul"),
+    ((False, None), "not-koszul"),
+])
+def test_the_verdict_is_read_off_the_evidence_by_one_rule(passed, want):
+    assert KoszulVerdict("gl", 2, [_evidence(p) for p in passed]).verdict == want
+
+
+def test_a_certificate_and_an_obstruction_together_raise():
+    both = KoszulVerdict("gl", 2, [_evidence(p) for p in (True, None, False)])
+    with pytest.raises(AssertionError, match="gl_2"):
+        both.verdict
+    with pytest.raises(AssertionError):
+        both.summary()
+
+
+def test_a_failed_linear_strand_is_informational(monkeypatch):
+    # a certificate that does not hold proves nothing: it is reported as info
+    # and leaves the so verdict undetermined
+    monkeypatch.setattr(verdicts, "serre_linear_strand_certificate",
+                        lambda table: (1, False))
+    v = verdict(family("so", 3))
+    assert v.verdict == "undetermined"
+    assert "[info] linear-strand-certificate: top(i) <= i+1 holds through s=1" \
+        in v.summary()
+    assert json.loads(v.render_json())["verdict"] == "undetermined"
+
+
+def test_diagonal_inequality_names_a_non_quadratic_beta_1():
+    # beta_1 = 3 has the quadratic part 2: the violation at i = 1 compares
+    # beta_1 with that part, not with C(beta_1, 1)
+    table = BettiTable("hand", 1, {(1, (1, 1)): 2, (1, (2, 1)): 1})
+    assert aci_obstruction(table) == (True, (1, 3, 2))
+    e = _diagonal_inequality(table, decisive=True)
+    assert str(e) == ("[fail] diagonal-inequality-obstruction: "
+                      "beta_1 is 3 > 2, its part in total degree 2")
 
 
 def test_degenerate_sl1_is_koszul():
