@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -71,14 +72,57 @@ def test_ext_module_candidate_resolution():
     assert both["full_matches"] and both["diagonal_matches"]
 
 
+def _ranked_candidates(n: int, fld) -> dict:
+    # the same comparison as gl_ext_module_candidates, with each piece ranked
+    # over ``fld`` by dense elimination of its signed products
+    def basis(a, b):
+        return [A + tuple(n + j for j in B)
+                for A in combinations(range(n), a)
+                for B in combinations(range(n), b)]
+
+    def piece_rank(pairs, a, b):
+        index = {m: k for k, m in enumerate(basis(a, b))}
+        rows = []
+        for (i, j) in pairs:
+            for mu in basis(a - 1, b - 1):
+                word = (i, n + j) + mu
+                if len(set(word)) < len(word):
+                    continue
+                inversions = sum(x > y for x, y in combinations(word, 2))
+                row = [0] * len(index)
+                row[index[tuple(sorted(word))]] = (-1) ** inversions
+                rows.append(row)
+        return brute_rank(rows, fld.p) if rows else 0
+
+    full_pairs = [(i, j) for i in range(n) for j in range(n)]
+    diag_pairs = [(j, j) for j in range(n)]
+    full_ok, mismatch = True, None
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            target = comb(n, a) * comb(n, b)
+            full_ok = full_ok and piece_rank(full_pairs, a, b) == target
+            ddim = piece_rank(diag_pairs, a, b)
+            if ddim != target and mismatch is None:
+                mismatch = ((a, b), ddim, target)
+    return {
+        "full_matches": full_ok,
+        "diagonal_matches": mismatch is None,
+        "first_diagonal_mismatch": mismatch,
+    }
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(3), GF(7)], ids=str)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_ext_module_candidates_keep_their_pinned_values(n):
+def test_ext_module_candidates_keep_their_pinned_values(n, fld):
     # recorded when each piece was ranked by an echelon of its products; the
-    # diagonal ideal has n of the n^2 monomials of bidegree (1, 1), over
-    # every field since each product is a signed basis monomial
+    # diagonal ideal has n of the n^2 monomials of bidegree (1, 1).  The
+    # answer takes no field: ranking every piece over ``fld`` gives it too,
+    # since each product is a signed basis monomial
     mismatch = None if n == 1 else ((1, 1), n, n * n)
-    assert gl_ext_module_candidates(n) == {
+    pinned = {
         "full_matches": True,
         "diagonal_matches": n == 1,
         "first_diagonal_mismatch": mismatch,
     }
+    assert gl_ext_module_candidates(n) == pinned
+    assert _ranked_candidates(n, fld) == pinned
