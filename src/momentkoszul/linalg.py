@@ -196,7 +196,9 @@ def kernel_of_columns(columns, fld: Field = QQ) -> list[dict]:
 
     Read off the reduced row space of the matrix: free column f gives
     ``e_f - sum_p R[p][f] e_p`` over the pivots p.  Vectors come in
-    increasing f, with field-element entries.
+    increasing f, with field-element entries.  Each vector holds its free
+    column f at entry 1, and no other vector has an entry at f: the
+    resolution reads its kernels in these private coordinates.
     """
     p = fld.p
     ech = _row_echelon(columns, p)

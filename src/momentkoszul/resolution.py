@@ -20,26 +20,41 @@ complement of (m.K)_v in K_v, where K is the kernel of d_{s-1}:
 2. The columns lie in K_v, so a rank above dim K_v raises ``AssertionError``
    naming the step and degree, even under ``python -O``.  A rank equal to
    dim K_v means no generator, and no other elimination runs.
-3. Otherwise the columns are inserted into an echelon form until it reaches
-   their rank, and the basis vectors of K_v, sparsest first (a stable sort,
-   so the choice is deterministic), are added while they leave the span;
-   each one that does becomes a generator, until the span is K_v.  The
-   generators' own columns are appended.  Each leaves the span of the
-   columns before it, so no relation among all the columns has a
-   coefficient on a generator's column, and the reduced row-echelon form
-   reads the same kernel vectors off them as off the columns of 1.
+3. Otherwise the generators are read off the pivots of the columns' span.
+   Each vector of the basis of K_v has a coordinate that no other basis
+   vector has: its free column in the reduced row-echelon form of 1, or its
+   own unit coordinate in the kernel of the augmentation (a basis without
+   one raises ``AssertionError``).  With the basis sorted sparsest first (a
+   stable sort, so the choice is deterministic), the vector at place r gets
+   coordinate d - 1 - r, d = dim K_v.  Restricted to these private
+   coordinates each basis vector is a multiple of its own unit vector, so
+   the restriction is injective on K_v; the columns are inserted,
+   restricted, until the echelon form reaches their rank.  A basis vector
+   leaves the span of (m.K)_v grown by the vectors before it exactly when
+   its coordinate is not a pivot: those vectors own the higher
+   coordinates, and unit vectors added from the highest coordinate down
+   grow an echelon form with smallest-index pivots exactly at its
+   non-pivots.  So the generators, the basis vectors at non-pivots, are the
+   ones that inserting the basis into the span one vector at a time,
+   sparsest first, would choose.  The generators' own columns are
+   appended.  Each leaves the span of the columns before it, so no relation
+   among all the columns has a coefficient on a generator's column, and the
+   reduced row-echelon form reads the same kernel vectors off them as off
+   the columns of 1.
 
 The last step builds no kernel, so it does not build the columns of d_s:
 there (m.K)_v is spanned by the variable multiples x.K_{v - deg x}, built
-only until they fill K_v.  Most of them are redundant, so the step keeps a
-basis of each K_u whose vectors carry a label: the variable y of a product
-y.b that grew the span of K_u, or ``nvars`` for a chosen vector.  In degree
-v, stage x (variables in index order) multiplies by x only the vectors of
-K_{v - deg x} labelled x or higher, Janet's multiplicative variables.  The
-others add nothing: x.(y.b) = y.(x.b) with x.b in K (a submodule), which
-stage y < x spanned already.  So the span, and the chosen vectors, are
-those of all the multiples.  The basis of degree u is dropped with the
-columns of degree u, below.
+only until they fill K_v and inserted in the private coordinates of 3 (in
+all coordinates in the top total degree, which has no kernel basis).  Most
+of them are redundant, so the step keeps a basis of each K_u whose vectors
+carry a label: the variable y of a product y.b that grew the span of K_u,
+or ``nvars`` for a chosen vector.  In degree v, stage x (variables in
+index order) multiplies by x only the vectors of K_{v - deg x} labelled x
+or higher, Janet's multiplicative variables.  The others add nothing:
+x.(y.b) = y.(x.b) with x.b in K (a submodule), which stage y < x spanned
+already.  So the span, and the chosen vectors, are those of all the
+multiples.  The basis of degree u is dropped with the columns of degree u,
+below.
 
 The column of (generator h, quotient basis monomial m) is h's presentation
 for m = 1, and for m != 1 x times the column of (h, m/x), where x is the
@@ -69,17 +84,26 @@ forces one on some chosen vector.  Neither shortcut above changes (m.K)_v:
 the rank-first step only skips the span when (m.K)_v = K_v, where nothing
 is chosen, and the multiplicative variables span all of the multiples.  The
 chosen vectors are read off the kernel's elimination and the span is a
-second elimination, of the columns, so the check cross-checks the two; where
-the span is skipped, and in the top total degree, where nothing is chosen,
-the rank check compares the two eliminations instead.
+second elimination, of the columns in the private coordinates, so the
+check cross-checks the two; a middle step also requires as many chosen
+vectors as dim K_v minus the rank of its columns, which fails if a column
+outside K_v loses rank in the private coordinates (``AssertionError``, even
+under ``python -O``).  Where the span is skipped, and in the top total
+degree, where nothing is chosen, the rank check compares the two
+eliminations instead.
 
 Everything read in degree v lies in degrees componentwise <= v, so
 generators above the bounds cannot influence Betti numbers inside them: the
 table for (max_i, d - 1) is that for (max_i, d) cut to total degree < d, and
-the one for (max_i - 1, d) is that for (max_i, d) cut to i < max_i.
+the one for (max_i - 1, d) is that for (max_i, d) cut to i < max_i.  A
+generator of F_i has total degree at least i, so the steps past
+max_total_degree add nothing and are not built: max_i is clamped to it.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from itertools import chain
 
 from .betti import BettiTable
 from .fields import QQ, Field
@@ -221,42 +245,70 @@ def _lower_columns(ring: QuotientRing, module: _Module, next_module: _Module,
     return columns
 
 
-def _column_span(columns: list[dict], rank: int, p: int | None) -> Echelon:
-    """An echelon form of the span of ``columns``, of dimension ``rank``:
-    the columns after the one that reaches it are not inserted."""
+def _private_coordinates(kvecs: list[dict], step: int,
+                         v: BiDegree) -> dict[int, int]:
+    """A coordinate of its own for each vector of the basis ``kvecs`` of K_v,
+    numbered in reverse: kvecs[r]'s is numbered len(kvecs) - 1 - r.
+
+    Raises ``AssertionError`` when some vector has no coordinate that no
+    other vector has.
+    """
+    seen = Counter(chain.from_iterable(kvecs))
+    last = len(kvecs) - 1
+    private = {}
+    for r, kv in enumerate(kvecs):
+        j = next((j for j in kv if seen[j] == 1), None)
+        if j is None:
+            raise AssertionError(
+                f"kernel basis vector with no coordinate of its own at "
+                f"step {step}, degree {v}")
+        private[j] = last - r
+    return private
+
+
+def _project(vec: dict, private: dict[int, int]) -> dict:
+    """``vec`` in the private coordinates of a basis of K_v."""
+    return {private[j]: x for j, x in vec.items() if j in private}
+
+
+def _column_span(columns: list[dict], rank: int, private: dict[int, int],
+                 p: int | None) -> Echelon:
+    """An echelon form of the span of ``columns`` in the private coordinates
+    ``private``, of dimension ``rank``: the columns after the one that
+    reaches it are not inserted."""
     span = Echelon(p)
     for col in columns:
         if span.dimension == rank:
             break
-        span.insert(col)
+        span.insert(_project(col, private))
     return span
 
 
 def _complement(kvecs: list[dict], span: Echelon, owners: list, step: int,
                 v: BiDegree) -> list[dict]:
     """The vectors of the basis ``kvecs`` of K_v, sparsest first, that leave
-    ``span`` (an echelon form of (m.K)_v) grown by those before them.
+    ``span`` (an echelon form of (m.K)_v in the private coordinates of
+    ``kvecs``) grown by those before them: kvecs[r] exactly where
+    coordinate len(kvecs) - 1 - r is not a pivot of ``span``.
 
     Raises ``AssertionError`` on a chosen vector with an entry at a
     generator of degree v (``owners`` is the basis of degree v).
     """
-    chosen = []
-    for kv in sorted(kvecs, key=len):
-        if span.dimension == len(kvecs):
-            break
-        if not span.insert(kv):
-            continue
+    last = len(kvecs) - 1
+    chosen = [kv for r, kv in enumerate(kvecs) if last - r not in span.rows]
+    for kv in chosen:
         for pos in kv:
             if owners[pos][1] == (0, 0):
                 raise AssertionError(
                     f"unit entry in presentation at step {step}, degree {v}")
-        chosen.append(kv)
     return chosen
 
 
 def _variable_span(module: _Module, basis: dict, v: BiDegree, dim: int,
-                   p: int | None) -> tuple[Echelon, list[tuple[dict, int]]]:
-    """An echelon form of (m.K)_v, stopped once it fills K_v (``dim``), and
+                   private: dict[int, int] | None, p: int | None
+                   ) -> tuple[Echelon, list[tuple[dict, int]]]:
+    """An echelon form of (m.K)_v in the private coordinates ``private``, or
+    in all coordinates where None, stopped once it fills K_v (``dim``), and
     the products that grew it, each labelled with its variable.
 
     ``basis[u]`` is a basis of K_u of labelled vectors: a product y.b
@@ -279,7 +331,8 @@ def _variable_span(module: _Module, basis: dict, v: BiDegree, dim: int,
                 return span, grown
             if label >= x:
                 vec = multiply(b)
-                if span.insert(vec):
+                if span.insert(vec if private is None
+                               else _project(vec, private)):
                     grown.append((vec, x))
     return span, grown
 
@@ -289,6 +342,8 @@ def resolve_k_over_quotient(f: RepFamily, max_i: int, max_total_degree: int,
     """Betti table of the residue field over S/I, exact within the window
     i <= max_i, total degree <= max_total_degree."""
     _non_negative(max_i=max_i, max_total_degree=max_total_degree)
+    # F_i has no generator below total degree i
+    max_i = min(max_i, max_total_degree)
     ring = ring_for_family(f, fld)
     entries = {(0, (0, 0)): 1}
     # F_0, ..., F_max_i
@@ -311,7 +366,10 @@ def resolve_k_over_quotient(f: RepFamily, max_i: int, max_total_degree: int,
             if step == max_i:
                 # no next kernel to build: (m.K)_v is spanned by the
                 # variable multiples x.K_{v - deg x}
-                span, grown = _variable_span(module, basis, v, dim, fld.p)
+                private = (_private_coordinates(kvecs, step, v) if keep
+                           else None)
+                span, grown = _variable_span(module, basis, v, dim, private,
+                                             fld.p)
                 count = dim - span.dimension
                 if keep:
                     chosen = _complement(kvecs, span, module.blocks(v)[1],
@@ -335,14 +393,20 @@ def resolve_k_over_quotient(f: RepFamily, max_i: int, max_total_degree: int,
                 dim = len(columns) - rank
                 if keep:
                     if count:
-                        chosen = _complement(
-                            kvecs, _column_span(columns, rank, fld.p),
-                            module.blocks(v)[1], step, v)
+                        span = _column_span(
+                            columns, rank,
+                            _private_coordinates(kvecs, step, v), fld.p)
+                        chosen = _complement(kvecs, span, module.blocks(v)[1],
+                                             step, v)
+                        if len(chosen) != count:
+                            raise AssertionError(
+                                f"{len(chosen)} generators chosen, {count} "
+                                f"expected, at step {step}, degree {v}")
                         next_module.add_generators(v, len(chosen))
                         columns += chosen
                     if columns:
                         step_built[v] = columns
-                    kvecs = kernel
+                    kvecs = sorted(kernel, key=len)
                 # degree u is read at u + (1, 0) and, last, at u + (0, 1) = v
                 step_built.pop((v[0], v[1] - 1), None)
             if count:

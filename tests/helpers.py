@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
-from momentkoszul.linalg import Echelon
+from momentkoszul.linalg import Echelon, axpy
 from momentkoszul.monomials import monomial_basis
 from momentkoszul.pieces import ideal_span_vectors
 
@@ -256,3 +256,16 @@ def raised_rank(real):
         return out
 
     return rank
+
+
+def summed_kernel_vectors(real):
+    """A ``kernel_of_columns`` whose second vector is the sum of its first
+    two.  The span is the same, but the first vector shares its free column
+    with the sum, so it has no coordinate of its own."""
+    def kernel(columns, fld):
+        out = real(columns, fld)
+        if len(out) > 1:
+            out[1] = axpy(dict(out[1]), 1, out[0], fld.p)
+        return out
+
+    return kernel

@@ -232,6 +232,28 @@ def test_rank_of_columns_is_the_rank_the_kernel_leaves(p, columns):
     assert rank == brute_rank(columns, p)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([None, 7, P]), fractional_matrices)
+def test_each_kernel_vector_owns_its_free_column(p, rows):
+    # the resolution reads (m.K)_v in these coordinates, one per kernel
+    # vector; the free columns are those that leave the rank of the columns
+    # before them unchanged
+    fld = QQ if p is None else GF(p)
+    if p is not None:
+        rows = [[x.numerator * pow(x.denominator, -1, p) % p for x in row]
+                for row in rows]
+    cols = [{r: row[j] for r, row in enumerate(rows) if row[j]}
+            for j in range(3)]
+    free = [j for j in range(3)
+            if brute_rank([row[:j + 1] for row in rows], p)
+            == brute_rank([row[:j] for row in rows], p)]
+    kernel = kernel_of_columns(cols, fld)
+    assert len(kernel) == len(free)
+    for f, kv in zip(free, kernel):
+        assert kv[f] == 1
+        assert not any(f in other for other in kernel if other is not kv)
+
+
 def test_results_hold_no_integral_fraction():
     # back-substitution over QQ leaves Fraction(1, 1) in one row of this
     # kernel; kernel vectors become presentations of the resolution

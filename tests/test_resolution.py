@@ -1,5 +1,6 @@
 """Minimal free resolutions of the residue field over the quotient rings."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -24,11 +25,15 @@ from momentkoszul.resolution import resolve_k_over_quotient
 from momentkoszul.verify import table_poincare_totals
 
 from helpers import (
+    deadline,
     dropped_kernel_vector,
     raised_rank,
     series_coeffs_one_var,
+    summed_kernel_vectors,
     unit_entry_complement,
 )
+
+FIELDS = {"QQ": QQ, "F_32003": GF(32003)}
 
 
 def test_gl1_residue_field_resolution():
@@ -168,6 +173,107 @@ def test_benchmark_windows_keep_their_tables(window):
         assert t.boundary_hits == [], fld
 
 
+#: sha256 of every generator presentation ``_complement`` returns, with its
+#: step and degree, in the order of the resolution, on the four benchmark
+#: windows; recorded when each generator was found by inserting the kernel
+#: basis vectors, sparsest first, into the span of (m.K)_v.
+GENERATOR_DIGESTS = {
+    (("sl", 3, 5, 7), "QQ"):
+        "0584321dbe8161189d5a71ca66ee1ab183009250bf867a9d5c300d51739f3754",
+    (("sl", 3, 5, 7), "F_32003"):
+        "bfaa4defce9a3658f88008e81abc123d1ee71677ae28b9b200c9a0575e5f79b4",
+    (("sp", 2, 4, 6), "QQ"):
+        "b896952410154fe455d164b8fbb56d4273979afff1e5841d73f55c39f57f6bf7",
+    (("sp", 2, 4, 6), "F_32003"):
+        "d4b5637b9353245603f15a6e6879a15f8ddc934cf323159244fe55afa5f7267e",
+    (("so", 3, 5, 6), "QQ"):
+        "889c35093e66f37b7024a46caba94d034cb3cc8553441d583c91166fc594b60f",
+    (("so", 3, 5, 6), "F_32003"):
+        "8fc17ff900009b66ead03762d6e85500d2799fe284120bf09f03e7152c0e9efe",
+    (("gl", 3, 5, 6), "QQ"):
+        "59531565e830b2176a56bdb796720f721db5ed09ece4d6e5b1a57dfe34c8b07a",
+    (("gl", 3, 5, 6), "F_32003"):
+        "a9e63a499eb43cc8978cea6ceaac41598b9c32a5379c98e738f890011264df64",
+}
+
+
+@pytest.mark.parametrize("window,field", list(GENERATOR_DIGESTS),
+                         ids=lambda key: (f"{key[0]}_{key[1]}"
+                                          if isinstance(key, tuple) else key))
+def test_benchmark_windows_keep_their_generators(monkeypatch, window, field):
+    # other generators, equally valid, would leave the tables as they are
+    kind, n, max_i, max_total = window
+    real = resolution._complement
+    digest = hashlib.sha256()
+
+    def complement(kvecs, span, owners, step, v):
+        chosen = real(kvecs, span, owners, step, v)
+        presentations = [sorted((j, str(x)) for j, x in kv.items())
+                         for kv in chosen]
+        digest.update(repr((step, v, presentations)).encode())
+        return chosen
+
+    monkeypatch.setattr(resolution, "_complement", complement)
+    resolve_k_over_quotient(family(kind, n), max_i, max_total, FIELDS[field])
+    assert digest.hexdigest() == GENERATOR_DIGESTS[window, field]
+
+
+@pytest.mark.parametrize("kind,n,max_i,max_total",
+                         [("sp", 2, 4, 6), ("sl", 3, 5, 7)],
+                         ids=["sp_2", "sl_3"])
+def test_generators_are_chosen_without_elimination(monkeypatch, kind, n, max_i,
+                                                   max_total):
+    # the generators are read off the pivots of (m.K)_v in the private
+    # coordinates of K_v; inserting each kernel vector into the span took
+    # 3,036 inserts on sp_2 and 2,185 on sl_3
+    real_insert, real_complement = (resolution.Echelon.insert,
+                                    resolution._complement)
+    inside, calls, inserts = [], [], []
+
+    def insert(self, vec):
+        if inside:
+            inserts.append(1)
+        return real_insert(self, vec)
+
+    def complement(kvecs, span, owners, step, v):
+        inside.append(1)
+        calls.append(1)
+        try:
+            return real_complement(kvecs, span, owners, step, v)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(resolution.Echelon, "insert", insert)
+    monkeypatch.setattr(resolution, "_complement", complement)
+    resolve_k_over_quotient(family(kind, n), max_i, max_total)
+    assert calls
+    assert not inserts, f"{len(inserts)} inserts"
+
+
+def test_resolution_clamps_max_i_to_the_total_degree_bound():
+    # F_i has no generator below total degree i, so no step past the degree
+    # bound is built
+    f = family("sl", 2)
+    with deadline(2):
+        got = resolve_k_over_quotient(f, 10**9, 3)
+    expected = resolve_k_over_quotient(f, 3, 3)
+    assert got.entries == expected.entries
+    assert got.boundary_hits == expected.boundary_hits
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("kind,n,max_total", [("gl", 2, 4), ("sl", 2, 5),
+                                              ("so", 3, 4), ("sp", 1, 5)])
+def test_steps_past_the_total_degree_bound_add_nothing(kind, n, max_total,
+                                                       field):
+    tables = [resolve_k_over_quotient(family(kind, n), max_total + extra,
+                                      max_total, FIELDS[field])
+              for extra in (0, 1, 5)]
+    for t in tables[1:]:
+        assert t.entries == tables[0].entries
+        assert t.boundary_hits == tables[0].boundary_hits
+
+
 def _count_products(monkeypatch) -> list:
     """Counts every product vector of the resolution's bound multipliers."""
     real = resolution._multiplier
@@ -206,7 +312,6 @@ def test_resolution_refuses_a_negative_max_i():
 
 
 PROPERTY_FAMILIES = (("gl", 2), ("sl", 2), ("so", 3), ("sp", 1))
-FIELDS = {"QQ": QQ, "F_32003": GF(32003)}
 
 
 @cache
@@ -480,3 +585,47 @@ def test_top_degree_only_counts(monkeypatch, kind, n, max_i, max_total):
     assert {v for _, v in ranks} == {v for v in bidegrees_up_to_total(max_total)
                                      if total(v) == max_total}
     assert len(ranks) == len(set(ranks)) == (max_i - 1) * (max_total + 1)
+
+
+def test_private_coordinate_check_catches_a_shared_basis(monkeypatch):
+    # replacing the second kernel vector by the sum of the first two keeps
+    # the span but leaves the first vector no coordinate of its own, so the
+    # pivots of (m.K)_v no longer name the generators
+    monkeypatch.setattr(resolution, "kernel_of_columns",
+                        summed_kernel_vectors(resolution.kernel_of_columns))
+    with pytest.raises(AssertionError,
+                       match=r"kernel basis vector with no coordinate of its "
+                             r"own at step 2, degree \(1, 1\)"):
+        resolve_k_over_quotient(family("sl", 2), 4, 5)
+
+
+def test_private_coordinate_check_survives_python_O():
+    tests = Path(__file__).parent
+    script = (
+        "assert False, 'asserts are on'\n"
+        "import momentkoszul.resolution as r\n"
+        "from momentkoszul.ideals import family\n"
+        "from helpers import summed_kernel_vectors\n"
+        "r.kernel_of_columns = summed_kernel_vectors(r.kernel_of_columns)\n"
+        "r.resolve_k_over_quotient(family('sl', 2), 4, 5)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert ("AssertionError: kernel basis vector with no coordinate of its "
+            "own at step 2, degree (1, 1)") in proc.stderr
+
+
+def test_generator_count_check_catches_a_span_short_of_the_rank(monkeypatch):
+    # sl_2 gains one generator in degree (3, 1) at step 3; an empty span in
+    # the private coordinates chooses all 14 kernel vectors instead
+    def empty_span(columns, rank, private, p):
+        return resolution.Echelon(p)
+
+    monkeypatch.setattr(resolution, "_column_span", empty_span)
+    with pytest.raises(AssertionError,
+                       match=r"14 generators chosen, 1 expected, at step 3, "
+                             r"degree \(3, 1\)"):
+        resolve_k_over_quotient(family("sl", 2), 4, 5)
