@@ -89,6 +89,11 @@ corrupted differential fails as ``d.d != 0`` before a Betti number is
 derived from a cleared rank, and at most one differential's columns are
 held at a time.
 
+Hilbert series.  ``hilbert_oracle`` reads the same two symmetries off the
+same checks: it eliminates only the dominant weight classes of each ideal
+piece I_v with a >= b, counts each with its orbit size, and reads (a, b) with
+a < b off (b, a); its docstring states the argument.
+
 The socle of S/I in degree v, the annihilator of all the variables, is
 Tor_N^S(S/I, k) in bidegree v + (num_p, num_q), N = ``ring.nvars``: there
 K_N is (S/I)_v itself and d_N stacks the maps m -> x m.  ``socle`` and
@@ -112,8 +117,9 @@ from .betti import BettiTable
 from .fields import QQ, Field
 from .ideals import RepFamily
 from .linalg import Echelon, InvalidInputError
-from .monomials import (BiDegree, _non_negative, bidegrees_up_to_total,
-                        sub_bidegrees, total)
+from .monomials import (BiDegree, _non_negative, ambient_dimension,
+                        bidegrees_up_to_total, exponent_tuples, sub_bidegrees,
+                        total)
 from .pieces import ideal_span_vectors
 from .polynomials import Polynomial, format_polynomial
 from .quotient import QuotientRing, ring_for_family
@@ -214,10 +220,23 @@ class _Grading:
         self._kept: dict[BiDegree, dict[int, tuple]] = {}
         self._homogeneous: dict[tuple[int, BiDegree], bool] = {}
         self._commuting: dict[BiDegree, set[tuple[int, int]]] = {}
+        self._sides: dict[BiDegree, tuple[list[int], list[int]]] = {}
 
     def weight(self, exponents) -> int:
         """The packed weight of the monomial with these exponents."""
         return sum(map(mul, exponents, self._slots))
+
+    def side_weights(self, v: BiDegree) -> tuple[list[int], list[int]]:
+        """The packed weights of P_a and of Q_b, v = (a, b), each in
+        canonical order; cached for the life of the grading."""
+        got = self._sides.get(v)
+        if got is None:
+            num_p, slots = self.ring.num_p, self._slots
+            got = self._sides[v] = (
+                [sum(map(mul, e, slots)) for e in exponent_tuples(num_p, v[0])],
+                [sum(map(mul, e, slots[num_p:]))
+                 for e in exponent_tuples(self.ring.num_q, v[1])])
+        return got
 
     def exterior(self, i: int) -> tuple:
         """``_exterior_groups`` of degree i under this grading."""
@@ -701,23 +720,80 @@ def tor_over_S(f: RepFamily, max_i: int | None = None,
                       field=str(fld), boundary_hits=boundary)
 
 
-def hilbert_oracle(f: RepFamily, order: int, fld: Field = QQ) -> TruncatedSeries:
-    """Hilbert series of S/I realized by per-bidegree quotient dimensions.
+def _weight_classes(grading: _Grading, v: BiDegree) -> dict[int, list[int]]:
+    """Packed weight -> the indices of the monomials of that weight in the
+    canonical basis of S_v, ascending."""
+    p_weights, q_weights = grading.side_weights(v)
+    width = len(q_weights)
+    classes: dict[int, list[int]] = {}
+    for i, x in enumerate(p_weights):
+        for k, y in enumerate(q_weights, i * width):
+            classes.setdefault(x + y, []).append(k)
+    return classes
 
-    Bidegrees come in increasing total degree, so when a piece directly
-    below v is zero it is already cached, and ``QuotientRing.piece`` reads
-    (S/I)_v = 0 off it (a monomial of v is a variable times a monomial of
-    that piece) instead of eliminating I_v.  Every other piece is
-    eliminated.
+
+def _class_products(ring: QuotientRing, grading: _Grading, v: BiDegree):
+    """``ideal_span_vectors`` of v cut to the products g*m whose weight
+    wt(g) + wt(m) is dominant; the weight classes of each S_u, u = v - deg g,
+    are tabulated once per v."""
+    fld, n, tables = ring.field, grading.n, {}
+
+    def keep(g, u):
+        table = tables.get(u)
+        if table is None:
+            table = tables[u] = _weight_classes(grading, u)
+        lam = grading.weight(next(m for m, c in g.terms if fld.of(c)))
+        return [k for mu, ks in table.items() if _orbit(lam + mu, n) for k in ks]
+
+    return ideal_span_vectors(ring.generators, v, fld, keep)
+
+
+def _class_dimension(ring: QuotientRing, grading: _Grading, v: BiDegree) -> int:
+    """dim (S/I)_v by the dominant weight classes (``hilbert_oracle``)."""
+    ech = Echelon(ring.field.p)
+    for vec in _class_products(ring, grading, v):
+        ech.insert(vec)
+    p_weights, q_weights = grading.side_weights(v)
+    width, n = len(q_weights), grading.n
+    return ambient_dimension(ring.num_p, ring.num_q, v) - sum(
+        _orbit(p_weights[j // width] + q_weights[j % width], n) for j in ech.rows)
+
+
+def hilbert_oracle(f: RepFamily, order: int, fld: Field = QQ) -> TruncatedSeries:
+    """Hilbert series of S/I by one elimination per dominant weight class.
+
+    The ring passes the checks of ``tor_over_S`` or falls back as there
+    (module docstring).  The generators are weight-homogeneous, so S_v and
+    I_v split into classes S_{v,lam} and I_{v,lam} by torus weight, and
+    I_{v,lam} is spanned by the products g*m of weight wt(g) + wt(m) = lam.
+    Each pi in S_n keeps I and permutes the monomials of S_v, carrying the
+    classes of lam onto those of pi.lam, so dim I_v is the sum over dominant
+    lam of |S_n.lam| dim I_{v,lam}.  One echelon of the dominant products
+    keeps every row inside one class, so its pivots j count it exactly:
+    dim (S/I)_v = dim S_v - sum of |S_n.wt(j)| over the pivots j.  The swap
+    p_k <-> q_k keeps I, so dim (S/I)_{(a, b)} with a < b is read off
+    (b, a).  A ring that fails the S_n check is counted by the trivial
+    grading (every class kept, orbit 1), and one that fails the swap check
+    is eliminated in every bidegree, by the same code.
+
+    Bidegrees come in increasing total degree, and a piece directly below a
+    zero piece is zero, with no elimination: a monomial of v is a variable
+    times a monomial of that piece.  Each echelon is dropped after its v.
     """
     ring = ring_for_family(f, fld)
     _non_negative(order=order)
-    coeffs = {}
-    for v in bidegrees_up_to_total(order):
-        d = ring.dim(v)
-        if d:
-            coeffs[v] = d
-    return TruncatedSeries.make(("s", "t"), order, coeffs)
+    mirror = _swaps_p_and_q(ring)
+    grading = _torus_grading(ring, f.torus_weights)
+    dims: dict[BiDegree, int] = {}
+    for a, b in bidegrees_up_to_total(order):
+        if mirror and a < b:
+            # (b, a) has the same total degree and comes first
+            dims[a, b] = dims[b, a]
+        elif any(not dims[w] for w in ((a - 1, b), (a, b - 1)) if min(w) >= 0):
+            dims[a, b] = 0
+        else:
+            dims[a, b] = _class_dimension(ring, grading, (a, b))
+    return TruncatedSeries.make(("s", "t"), order, {v: d for v, d in dims.items() if d})
 
 
 def _annihilators(ring: QuotientRing, max_total_degree: int):

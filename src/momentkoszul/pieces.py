@@ -4,11 +4,13 @@ quotient dimension.
 ``ideal_span_vectors`` writes the products ``generator * monomial`` of
 bidegree v as sparse vectors over the canonical monomial basis of S_v; every
 route to an ideal piece starts from them.  ``QuotientRing`` (``quotient.py``)
-is the one place that eliminates them, and the structure checks
-``piece_contains`` and ``pieces_equal`` live beside it.  ``quotient_dimension``
-ranks the same vectors on its own: it is the independent reference that tests
-compare ``QuotientRing.dim`` against, so it does not route through
-``QuotientRing``.
+is the one place that eliminates whole pieces, and the structure checks
+``piece_contains`` and ``pieces_equal`` live beside it.  ``hilbert_oracle``
+(``oracle.py``) eliminates only the products of dominant torus weight, which
+it selects through ``keep``, one echelon per bidegree.
+``quotient_dimension`` ranks the same vectors on its own: it is the
+independent reference that tests compare ``QuotientRing.dim`` against, so it
+does not route through ``QuotientRing``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ def _check_ambient(generators) -> tuple[int, int]:
     return ambients.pop()
 
 
-def ideal_span_vectors(generators, v: BiDegree, fld: Field = QQ):
+def ideal_span_vectors(generators, v: BiDegree, fld: Field = QQ, keep=None):
     """Sparse vectors g*m (over the canonical basis of bidegree v) spanning I_v.
 
     One per generator g and monomial m of bidegree u = v - deg g, in that
@@ -47,6 +49,12 @@ def ideal_span_vectors(generators, v: BiDegree, fld: Field = QQ):
     t_q; no product monomial is built.  Each term's field coefficient and
     positions are computed once per generator; a term whose coefficient is
     zero in the field is skipped, so every entry is a nonzero field element.
+
+    ``keep(g, u)``, when given, returns the indices k of the monomials m of
+    u (the k-th of the canonical basis of S_u) whose products are wanted,
+    in the order to yield them; the other products are skipped before any
+    position is computed.  It is called for a generator with a term nonzero
+    in the field.  ``hilbert_oracle`` keeps the products of dominant weight.
 
     ``QuotientRing.piece`` skips this whole span when a cached piece
     directly below v is a zero quotient piece, since then I_v = S_v.
@@ -62,17 +70,21 @@ def ideal_span_vectors(generators, v: BiDegree, fld: Field = QQ):
         a, b = sub_bidegrees(v, w)
         if a < 0 or b < 0:
             continue
-        columns, coeffs = [], []
+        sides, coeffs = [], []
         for t, c in g.terms:
             c = fld.of(c)
-            if not c:
-                continue
-            sq = shifted_positions(t[num_p:], b)
-            columns.append([i * width + j
-                            for i in shifted_positions(t[:num_p], a) for j in sq])
-            coeffs.append(c)
-        if not columns or not columns[0]:
+            if c:
+                sides.append((shifted_positions(t[:num_p], a),
+                              shifted_positions(t[num_p:], b)))
+                coeffs.append(c)
+        if not coeffs:
             continue
+        if keep is None:
+            columns = [[i * width + j for i in sp for j in sq] for sp, sq in sides]
+        else:
+            # the k-th monomial of u is the (k // |Q_b|, k % |Q_b|)-th pair
+            pairs = [divmod(k, len(sides[0][1])) for k in keep(g, (a, b))]
+            columns = [[sp[i] * width + sq[j] for i, j in pairs] for sp, sq in sides]
         for positions in zip(*columns):
             yield dict(zip(positions, coeffs))
 

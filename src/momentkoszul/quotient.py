@@ -15,10 +15,11 @@ monomial j, which is congruent to minus the reduced row of j without its
 pivot.  ``commutes`` composes two maps by lookup where a column is {k: 1},
 and ``annihilator`` stacks the maps of every variable to read the socle.
 
-``QuotientRing.piece`` is the one route to (S/I)_v and its dimension.  A
-``QuotientPiece`` holds the echelon of I_v (``rref``), the standard monomials
-in canonical order (``basis``) and the map from ambient index to quotient
-coordinate (``positions``).  Every monomial of bidegree (a, b) is a
+``QuotientRing.piece`` is the one route to a piece (S/I)_v with a basis and
+normal forms; ``hilbert_oracle`` counts dimensions by weight class without
+building pieces.  A ``QuotientPiece`` holds the echelon of I_v (``rref``),
+the standard monomials in canonical order (``basis``) and the map from
+ambient index to quotient coordinate (``positions``).  Every monomial of bidegree (a, b) is a
 p-variable times one of (a - 1, b) when a >= 1, and a q-variable times one of
 (a, b - 1) when b >= 1.  So when a cached piece directly below v is zero,
 I_v = S_v and the piece is built zero without eliminating, with an empty

@@ -133,24 +133,25 @@ def resolution_jump(f: RepFamily, fld: Field = QQ,
     return None, table.boundary_hits
 
 
-def _diagonal_inequality(table: BettiTable, decisive: bool) -> Evidence | None:
-    """The first violation of the diagonal inequality in ``table`` as
-    evidence, or None.  A decisive violation fails the family; otherwise it
-    is informational, for a family that another obstruction decides."""
+def _diagonal_inequality(table: BettiTable) -> Evidence | None:
+    """The first violation of the diagonal inequality in ``table`` as an
+    obstruction that holds, or None.  Every Koszul algebra satisfies the
+    inequality (Avramov, Conca and Iyengar, 2010), so a violation fails the
+    family whatever other evidence it has."""
     violated, first = aci_obstruction(table)
     if not violated:
         return None
     i, lhs, rhs = first
     detail = (f"beta_1 is {lhs} > {rhs}, its part in total degree 2" if i == 1
               else f"beta_{i} in total degree {2 * i} is {lhs} > C(beta_1, {i}) = {rhs}")
-    return Evidence("diagonal-inequality-obstruction", detail,
-                    False if decisive else None)
+    return Evidence("diagonal-inequality-obstruction", detail, False)
 
 
 def verdict(f: RepFamily, fld: Field = QQ) -> KoszulVerdict:
     """Collect the family's evidence: the monomial certificate for gl (and
     the empty sl_1), the linear strand for so, the resolution jump for sl
-    (computed for n <= 3, cited above), the diagonal inequality for sp."""
+    (computed for n <= 3, cited above), the diagonal inequality for sp, and
+    for sl where it breaks (sl_2)."""
     n = f.n
     mono_cert = quadratic_monomial_certificate(generators(f))
     ev = [Evidence(
@@ -180,10 +181,10 @@ def verdict(f: RepFamily, fld: Field = QQ) -> KoszulVerdict:
             None,
         ))
     elif f.kind is FamilyKind.SP:
-        ev.append(_diagonal_inequality(table, decisive=True) or Evidence(
+        ev.append(_diagonal_inequality(table) or Evidence(
             "diagonal-inequality-obstruction", "no violation in the closed table", None))
     elif f.kind is FamilyKind.SL:
-        diagonal = _diagonal_inequality(table, decisive=False)
+        diagonal = _diagonal_inequality(table)
         if diagonal:
             ev.append(diagonal)
         if n <= 3:

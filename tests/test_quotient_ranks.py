@@ -3,17 +3,18 @@ ideal span vectors placed by index tables, and multiplication maps read off
 the reduced rows."""
 
 from functools import cache
+from itertools import combinations
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentkoszul import quotient, resolution
+from momentkoszul import ideals, oracle, quotient, resolution
 from momentkoszul.closed import hilbert_closed
 from momentkoszul.fields import GF, QQ
 from momentkoszul.ideals import family, generators
-from momentkoszul.linalg import rank_of_vectors
+from momentkoszul.linalg import Echelon, rank_of_vectors
 from momentkoszul.monomials import (
     ambient_dimension,
     basis_index,
@@ -73,17 +74,101 @@ def test_ideal_rank_equals_the_eliminated_span_on_the_oracle_range(fld):
 def test_hilbert_oracle_eliminates_no_mixed_piece_past_degree_three(
         monkeypatch, kind, n):
     reached = []
-    real = quotient.ideal_span_vectors
+    real = oracle._class_products
 
-    def spy(gens, v, fld=QQ):
+    def spy(ring, grading, v):
         reached.append(v)
-        return real(gens, v, fld)
+        return real(ring, grading, v)
 
-    monkeypatch.setattr(quotient, "ideal_span_vectors", spy)
+    monkeypatch.setattr(oracle, "_class_products", spy)
     f = family(kind, n)
     assert hilbert_oracle(f, 10).coefficients == hilbert_closed(f, 10).coefficients
     assert (1, 1) in reached
     assert [v for v in reached if v[0] >= 1 and v[1] >= 1 and sum(v) >= 4] == []
+
+
+def _series_by_pieces(ring, order):
+    """The Hilbert series coefficients read off ``ring.dim``: the
+    ``QuotientRing`` route, which eliminates every piece whole."""
+    return {v: d for v in bidegrees_up_to_total(order) if (d := ring.dim(v))}
+
+
+def _recording_class_products(monkeypatch):
+    """Spy on the products the class route eliminates: (grading.n, v) per
+    call."""
+    calls = []
+    real = oracle._class_products
+
+    def spy(ring, grading, v):
+        calls.append((grading.n, v))
+        return real(ring, grading, v)
+
+    monkeypatch.setattr(oracle, "_class_products", spy)
+    return calls
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(32003)], ids=str)
+@pytest.mark.parametrize("kind, n", [*ORACLE_RANGE, ("so", 4), ("so", 5)])
+def test_hilbert_oracle_by_classes_equals_the_quotient_pieces(kind, n, fld):
+    f = family(kind, n)
+    want = _series_by_pieces(ring_for_family(f, fld), 10)
+    assert hilbert_oracle(f, 10, fld).coefficients == want
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(32003)], ids=str)
+def test_a_ring_that_fails_the_permutation_check_is_counted_whole(monkeypatch, fld):
+    # sl_3 without p1*q2 fails the S_3 check (test_oracle.py): every weight
+    # class is kept, with orbit 1
+    p1q2 = Polynomial.from_dict(3, 3, {(1, 0, 0, 0, 1, 0): 1})
+    real = ideals.generators
+    monkeypatch.setattr(ideals, "generators",
+                        lambda f: [g for g in real(f) if g != p1q2])
+    f = family("sl", 3)
+    ring = ring_for_family(f, fld)
+    assert len(ring.generators) == 7
+    assert oracle._torus_grading(ring, f.torus_weights).n == 0
+    calls = _recording_class_products(monkeypatch)
+    assert hilbert_oracle(f, 8, fld).coefficients == _series_by_pieces(ring, 8)
+    assert {n for n, _ in calls} == {0}
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(32003)], ids=str)
+def test_a_ring_that_fails_the_swap_check_is_eliminated_in_every_bidegree(
+        monkeypatch, fld):
+    # sl_3 with p1*p2, p1*p3 and p2*p3 added: S_3 keeps the ideal, but the
+    # swap sends p1*p2 to q1*q2, which is not in it
+    extra = [Polynomial.from_dict(3, 3, {tuple(int(k in pair) for k in range(6)): 1})
+             for pair in combinations(range(3), 2)]
+    real = ideals.generators
+    monkeypatch.setattr(ideals, "generators", lambda f: [*real(f), *extra])
+    f = family("sl", 3)
+    ring = ring_for_family(f, fld)
+    assert len(ring.generators) == 11
+    assert not oracle._swaps_p_and_q(ring)
+    assert oracle._torus_grading(ring, f.torus_weights).n == 3
+    calls = _recording_class_products(monkeypatch)
+    series = hilbert_oracle(f, 8, fld).coefficients
+    assert series == _series_by_pieces(ring, 8)
+    assert series[(0, 3)] != series[(3, 0)]
+    assert {n for n, _ in calls} == {3}
+    assert any(v[0] < v[1] for _, v in calls)
+
+
+def test_hilbert_oracle_inserts_a_fraction_of_the_products_of_so4(monkeypatch):
+    inserted = 0
+    real = Echelon.insert
+
+    def counting(self, vec):
+        nonlocal inserted
+        inserted += 1
+        return real(self, vec)
+
+    monkeypatch.setattr(Echelon, "insert", counting)
+    f = family("so", 4)
+    assert hilbert_oracle(f, 10).coefficients == hilbert_closed(f, 10).coefficients
+    # 77,220 when every piece was eliminated whole through QuotientRing.piece;
+    # 4,175 by the dominant weight classes and the mirror
+    assert inserted <= 77_220 // 2
 
 
 def test_a_term_zero_in_the_field_changes_no_piece():

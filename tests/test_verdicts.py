@@ -127,9 +127,24 @@ def test_diagonal_inequality_names_a_non_quadratic_beta_1():
     # beta_1 with that part, not with C(beta_1, 1)
     table = BettiTable("hand", 1, {(1, (1, 1)): 2, (1, (2, 1)): 1})
     assert aci_obstruction(table) == (True, (1, 3, 2))
-    e = _diagonal_inequality(table, decisive=True)
+    e = _diagonal_inequality(table)
     assert str(e) == ("[fail] diagonal-inequality-obstruction: "
                       "beta_1 is 3 > 2, its part in total degree 2")
+
+
+def test_the_diagonal_inequality_fails_sl2_and_finds_nothing_past_it():
+    # a violation of the Avramov-Conca-Iyengar bound proves non-Koszulness
+    # for sl as for sp; sl_3..sl_6 satisfy it, so their verdicts rest on the
+    # resolution jump alone
+    v = verdict(family("sl", 2))
+    assert [str(e) for e in v.evidence if e.name == "diagonal-inequality-obstruction"] \
+        == ["[fail] diagonal-inequality-obstruction: "
+            "beta_2 in total degree 4 is 5 > C(beta_1, 2) = 3"]
+    for n in range(3, 7):
+        f = family("sl", n)
+        assert aci_obstruction(betti_closed(f)) == (False, None), n
+        assert "diagonal-inequality-obstruction" not in \
+            [e.name for e in verdict(f).evidence], n
 
 
 def test_degenerate_sl1_is_koszul():
