@@ -47,8 +47,8 @@ MAX_CATALAN_N = 7000
 
 
 #: Largest --n of ``betti --source oracle|both`` without --force.  At the cap
-#: the largest run, sp_3 (12 variables), takes about 0.6-0.8 s and 26 MiB on
-#: a 2-core x86 VM over either field.
+#: the largest run, sp_3 (12 variables), takes about 0.5-1.0 s and 24 MiB on
+#: a shared 2-core x86 VM over either field.
 MAX_ORACLE_N = 5
 MAX_ORACLE_N_SP = 3
 

@@ -30,9 +30,11 @@ is built only where it is ranked.
 ``tor_over_S`` works one bidegree v at a time: a fresh ``KoszulOracle``
 builds, ranks and d.d-checks the complex of v and is dropped before the next
 v, serially or in a fork-pool worker.  Only the quotient ring's pieces and
-multiplication maps, and the grading's weight groups, kept coordinates and
-checked maps and squares, stay cached across bidegrees, until the call
-returns; a pool worker keeps its own copy of each.
+multiplication maps, and the grading's pieces by weight, kept coordinates,
+bound maps and checked squares, stay cached across bidegrees, until the
+call returns; a pool worker keeps its own copy of each.  The exterior
+tables, by shape and by shape and grading, and the orbit sizes of each
+Z^n stay for the process.
 
 Mirror.  When the ring passes ``_swaps_p_and_q``, only the bidegrees (a, b)
 with a >= b are ranked, and beta_i(a, b) for a < b is read off (b, a).  The
@@ -65,12 +67,16 @@ column has its entries in rows of its own weight.  A ring that fails the
 check is ranked whole, as the trivial grading in Z^0: every basis element
 kept, counted once.  The kept part has one block per exterior monomial eps,
 the coordinates of (S/I)_{v - deg eps} whose weight plus wt(eps) is
-dominant, and the differentials read the ring's own multiplication maps in
-place.  ``KoszulOracle._removals`` is the one place that binds them, and it
-checks each map homogeneous as it binds it (once per (x, w) per call), so
-a multiplication entry in a row of another weight fails as ``d.d != 0``
-wherever the map is read, and ``columns`` never indexes a row that the
-face's block does not keep.
+dominant.  The exterior monomials of one bidegree e and one weight share
+what they keep, so the basis of v asks once per such class
+(``_exterior_classes``), skips every e whose piece v - e is zero, and visits
+the monomials of a class only when it keeps a coordinate.  The
+differentials read the ring's own multiplication maps in place.
+``KoszulOracle._removals`` reads them from the grading, which binds each
+(x, w) once per call (``_Grading.bind``) and checks it homogeneous as it
+binds it.  A map that fails is never stored, so a multiplication entry in a
+row of another weight fails as ``d.d != 0`` wherever the map is read, and
+``columns`` never indexes a row that the face's block does not keep.
 
 Clearing.  Within v the differentials are ranked from the highest
 homological degree down, with clearing (Chen and Kerber, "Persistent
@@ -160,18 +166,19 @@ def _exterior_table(nvars: int, num_p: int, i: int) -> _ExteriorTable:
 
 
 @cache
-def _exterior_groups(nvars: int, num_p: int, i: int, slots: tuple) -> tuple:
-    """The degree-i exterior monomials as (eps, g) in ``_exterior_table``
-    order, and the list of the distinct (deg eps, wt eps), which g indexes;
-    ``slots`` holds the packed weight of each variable.
+def _exterior_classes(nvars: int, num_p: int, i: int, slots: tuple) -> dict:
+    """deg eps -> wt eps -> the degree-i exterior monomials of that bidegree
+    and weight, as [(index, eps), ...], index the place of eps in
+    ``_exterior_table`` order; ``slots`` holds the packed weight of each
+    variable.
 
     Tabulated once per shape and grading, for the life of the process, as
     ``_exterior_table`` is."""
-    groups: dict[tuple, int] = {}
-    monomials = tuple(
-        (eps, groups.setdefault((e, sum(slots[k] for k in eps)), len(groups)))
-        for eps, e in _exterior_table(nvars, num_p, i).monomials)
-    return monomials, list(groups)
+    table: dict[BiDegree, dict[int, list]] = {}
+    for index, (eps, e) in enumerate(_exterior_table(nvars, num_p, i).monomials):
+        table.setdefault(e, {}).setdefault(
+            sum(slots[k] for k in eps), []).append((index, eps))
+    return table
 
 
 #: A weight lam in Z^n is held packed, as the integer sum of lam_c * _BASE^c,
@@ -180,10 +187,8 @@ def _exterior_groups(nvars: int, num_p: int, i: int, slots: tuple) -> tuple:
 _BASE = 1 << 32
 
 
-@cache
 def _orbit(lam: int, n: int) -> int:
-    """|S_n . lam| when the packed weight lam in Z^n is dominant, else 0;
-    kept for the life of the process, as the exterior tables are."""
+    """|S_n . lam| when the packed weight lam in Z^n is dominant, else 0."""
     coords = []
     for _ in range(n):
         c = (lam + _BASE // 2) % _BASE - _BASE // 2
@@ -197,6 +202,27 @@ def _orbit(lam: int, n: int) -> int:
     return size
 
 
+class _Orbits(dict):
+    """Packed weight lam in Z^n -> ``_orbit(lam, n)``, computed on the first
+    lookup of lam and kept."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, lam: int) -> int:
+        size = self[lam] = _orbit(lam, self.n)
+        return size
+
+
+@cache
+def _orbit_table(n: int) -> _Orbits:
+    """The one ``_Orbits`` of Z^n, kept for the life of the process, as the
+    exterior tables are: a pass over the same families computes no orbit
+    twice."""
+    return _Orbits(n)
+
+
 class _Grading:
     """Torus weights of the variables of ``ring``, and the quotient
     coordinates that the oracle keeps under them.
@@ -207,8 +233,9 @@ class _Grading:
     dominant when its coordinates descend, and its S_n orbit has n! / prod
     m_c! elements, m_c the number of coordinates equal to c.  Each piece is
     grouped by weight once, the coordinates kept beside one exterior weight
-    are listed once, and each multiplication map is checked homogeneous
-    once, for the life of the grading: one ``tor_over_S`` call.
+    are listed once, and each multiplication map is bound and checked
+    homogeneous once, for the life of the grading: one ``tor_over_S`` call.
+    Orbit sizes are read from the process's one table of Z^n.
     """
 
     def __init__(self, ring: QuotientRing, weights=None):
@@ -218,7 +245,10 @@ class _Grading:
                             for wt in weights or ((),) * ring.nvars)
         self._pieces: dict[BiDegree, dict[int, list]] = {}
         self._kept: dict[BiDegree, dict[int, tuple]] = {}
-        self._homogeneous: dict[tuple[int, BiDegree], bool] = {}
+        #: packed weight -> its orbit size, for both oracles
+        self.orbits = _orbit_table(self.n)
+        #: (x, w) -> the checked ``ring.mult_by_var(x, w)``, or None (``bind``)
+        self.maps: dict[tuple[int, BiDegree], list | None] = {}
         self._commuting: dict[BiDegree, set[tuple[int, int]]] = {}
         self._sides: dict[BiDegree, tuple[list[int], list[int]]] = {}
 
@@ -238,10 +268,6 @@ class _Grading:
                  for e in exponent_tuples(self.ring.num_q, v[1])])
         return got
 
-    def exterior(self, i: int) -> tuple:
-        """``_exterior_groups`` of degree i under this grading."""
-        return _exterior_groups(self.ring.nvars, self.ring.num_p, i, self._slots)
-
     def _by_weight(self, w: BiDegree) -> dict:
         """mu -> the quotient coordinates of weight mu of (S/I)_w, ascending,
         in the order the weights first occur in the piece."""
@@ -256,15 +282,16 @@ class _Grading:
         """``(coords, orbits, index)`` for (S/I)_w beside an exterior weight:
         the quotient coordinates whose weight mu plus ``eps_weight`` is
         dominant, in the order of ``_by_weight(w)``; the orbit size
-        |S_n . (eps_weight + mu)| of each; and coordinate -> place in
+        |S_n . (eps_weight + mu)| of each, read from ``orbits``; and
+        coordinate -> place in
         ``coords``.  () when no coordinate is kept: most (w, eps_weight)
         keep none, and share that one empty tuple."""
         by_eps = self._kept.setdefault(w, {})
         got = by_eps.get(eps_weight)
         if got is None:
-            coords, orbits = [], []
+            coords, orbits, sizes = [], [], self.orbits
             for mu, ps in self._by_weight(w).items():
-                orbit = _orbit(eps_weight + mu, self.n)
+                orbit = sizes[eps_weight + mu]
                 if orbit:
                     coords += ps
                     orbits += [orbit] * len(ps)
@@ -272,21 +299,27 @@ class _Grading:
                 (coords, orbits, dict(zip(coords, range(len(coords))))) if coords else ())
         return got
 
-    def homogeneous(self, x: int, w: BiDegree) -> bool:
-        """Whether ``ring.mult_by_var(x, w)`` sends every coordinate of
-        weight mu of (S/I)_w into coordinates of weight mu + wt(x) alone;
-        each (x, w) is checked once for the life of the grading."""
-        key = (x, w)
-        got = self._homogeneous.get(key)
-        if got is None:
-            up = (w[0] + 1, w[1]) if x < self.ring.num_p else (w[0], w[1] + 1)
+    def bind(self, x: int, w: BiDegree, fail: Exception):
+        """``ring.mult_by_var(x, w)``, or None when the target piece
+        (S/I)_{w + deg x} is zero, stored in ``maps`` under (x, w) for the
+        life of the grading.
+
+        The map is stored only once it is checked homogeneous: it sends
+        every coordinate of weight mu of (S/I)_w into coordinates of weight
+        mu + wt(x) alone.  One that is not raises ``fail`` and is not
+        stored, so every later bind of it raises again."""
+        ring = self.ring
+        up = (w[0] + 1, w[1]) if x < ring.num_p else (w[0], w[1] + 1)
+        mult = None
+        if ring.dim(up):
             weight_of = {t: mu for mu, ts in self._by_weight(up).items() for t in ts}
-            mult, shift = self.ring.mult_by_var(x, w), self._slots[x]
-            got = self._homogeneous[key] = all(
-                weight_of.get(t) == mu + shift
-                for mu, ps in self._by_weight(w).items() for pos in ps
-                for t in mult[pos])
-        return got
+            mult, shift = ring.mult_by_var(x, w), self._slots[x]
+            if not all(weight_of.get(t) == mu + shift
+                       for mu, ps in self._by_weight(w).items() for pos in ps
+                       for t in mult[pos]):
+                raise fail
+        self.maps[x, w] = mult
+        return mult
 
     def squares_commute(self, pairs, w: BiDegree) -> bool:
         """Whether x_a x_b = x_b x_a on (S/I)_w for every pair {a, b} in
@@ -335,7 +368,13 @@ class KoszulOracle:
         A block holds the elements (eps, m), w = v - deg eps, for m the
         quotient coordinates ``kept[0]`` of (S/I)_w that ``_Grading.kept``
         keeps beside wt(eps), at the indices from ``offset`` on.  An eps with
-        no kept coordinate has no block."""
+        no kept coordinate has no block.
+
+        ``_Grading.kept`` is asked once per class of ``_exterior_classes``
+        whose piece (S/I)_w is nonzero, and only the monomials of the classes
+        that keep a coordinate are visited.  Their blocks come in
+        ``_exterior_table`` order, so every index is the one a walk over all
+        the monomials would give."""
         key = (i, v)
         got = self._basis.get(key)
         if got is not None:
@@ -344,21 +383,21 @@ class KoszulOracle:
         blocks: list = []
         orbits: list[int] = []
         if 0 <= i <= ring.nvars:
-            monomials, groups = grading.exterior(i)
-            pieces = {}
-            for e in _exterior_table(ring.nvars, ring.num_p, i).pairs:
+            found = []
+            for e, classes in _exterior_classes(ring.nvars, ring.num_p, i,
+                                                grading._slots).items():
                 w = sub_bidegrees(v, e)
-                if ring.dim(w):
-                    pieces[e] = w
-            kept = []
-            for e, eps_weight in groups:
-                w = pieces.get(e)
-                kept.append((w, () if w is None else grading.kept(w, eps_weight)))
-            for eps, g in monomials:
-                w, k = kept[g]
-                if k:
-                    blocks.append((eps, w, len(orbits), k))
-                    orbits += k[1]
+                if w[0] < 0 or w[1] < 0 or not ring.dim(w):
+                    continue
+                for eps_weight, members in classes.items():
+                    k = grading.kept(w, eps_weight)
+                    if k:
+                        found += [(index, eps, w, k) for index, eps in members]
+            # the indices are distinct, so the sort compares them alone
+            found.sort()
+            for _, eps, w, k in found:
+                blocks.append((eps, w, len(orbits), k))
+                orbits += k[1]
         result = (blocks, orbits)
         self._basis[key] = result
         return result
@@ -375,32 +414,34 @@ class KoszulOracle:
         the face's block offset and its coordinate -> place map.  Built once
         for ``columns`` and ``check_dd``, and dropped with the columns.
 
-        Each map is checked homogeneous (``_Grading.homogeneous``) as it is
-        bound, and a map that is not raises ``d.d != 0``.  (face, x m) has
-        the weight of (eps, m), so a homogeneous map sends a kept coordinate
-        to coordinates that the face's block keeps.  A face with no block is
-        given offset 0 and an empty index: a homogeneous map sends every
-        kept coordinate there to 0."""
+        Each face costs one lookup in ``_Grading.maps``, which holds None
+        where the face's piece is zero.  A map not found there is bound by
+        ``_Grading.bind``, which checks it homogeneous, and a map that is
+        not raises ``d.d != 0``.  (face, x m) has the weight of (eps, m), so
+        a homogeneous map sends a kept coordinate to coordinates that the
+        face's block keeps.  A face with no block is given offset 0 and an
+        empty index: a homogeneous map sends every kept coordinate there
+        to 0."""
         key = (i, v)
         got = self._removed.get(key)
         if got is not None:
             return got
         ring, grading = self.ring, self.grading
-        num_p = ring.num_p
-        faces = _exterior_table(ring.nvars, num_p, i).faces
+        fail = AssertionError(f"d.d != 0 at i={i}, v={v}")
+        faces = _exterior_table(ring.nvars, ring.num_p, i).faces
         targets = {eps: (off, k[2]) for eps, _, off, k in self.basis(i - 1, v)[0]}
-        live = {w for e in _exterior_table(ring.nvars, num_p, i - 1).pairs
-                if ring.dim(w := sub_bidegrees(v, e))}
+        maps = grading.maps
         got = []
         for eps, w, _, _ in self.basis(i, v)[0]:
             removals = []
             for r, face in enumerate(faces[eps]):
                 x = eps[r]
-                if ((w[0] + 1, w[1]) if x < num_p else (w[0], w[1] + 1)) in live:
-                    if not grading.homogeneous(x, w):
-                        raise AssertionError(f"d.d != 0 at i={i}, v={v}")
-                    removals.append((r % 2, x, ring.mult_by_var(x, w),
-                                     *targets.get(face, (0, {}))))
+                try:
+                    mult = maps[x, w]
+                except KeyError:
+                    mult = grading.bind(x, w, fail)
+                if mult is not None:
+                    removals.append((r % 2, x, mult, *targets.get(face, (0, {}))))
             got.append(removals)
         self._removed[key] = got
         return got
@@ -736,14 +777,14 @@ def _class_products(ring: QuotientRing, grading: _Grading, v: BiDegree):
     """``ideal_span_vectors`` of v cut to the products g*m whose weight
     wt(g) + wt(m) is dominant; the weight classes of each S_u, u = v - deg g,
     are tabulated once per v."""
-    fld, n, tables = ring.field, grading.n, {}
+    fld, orbits, tables = ring.field, grading.orbits, {}
 
     def keep(g, u):
         table = tables.get(u)
         if table is None:
             table = tables[u] = _weight_classes(grading, u)
         lam = grading.weight(next(m for m, c in g.terms if fld.of(c)))
-        return [k for mu, ks in table.items() if _orbit(lam + mu, n) for k in ks]
+        return [k for mu, ks in table.items() if orbits[lam + mu] for k in ks]
 
     return ideal_span_vectors(ring.generators, v, fld, keep)
 
@@ -754,9 +795,9 @@ def _class_dimension(ring: QuotientRing, grading: _Grading, v: BiDegree) -> int:
     for vec in _class_products(ring, grading, v):
         ech.insert(vec)
     p_weights, q_weights = grading.side_weights(v)
-    width, n = len(q_weights), grading.n
+    width, orbits = len(q_weights), grading.orbits
     return ambient_dimension(ring.num_p, ring.num_q, v) - sum(
-        _orbit(p_weights[j // width] + q_weights[j % width], n) for j in ech.rows)
+        orbits[p_weights[j // width] + q_weights[j % width]] for j in ech.rows)
 
 
 def hilbert_oracle(f: RepFamily, order: int, fld: Field = QQ) -> TruncatedSeries:

@@ -865,6 +865,68 @@ def test_removals_hold_the_rings_own_maps():
             assert mult is ring.mult_by_var(x, w)
 
 
+def test_tor_checks_each_map_it_binds_once(monkeypatch):
+    # _removals looks every face up in the grading's maps; a miss binds the
+    # map, and the bind weight-checks it where its target piece is nonzero
+    checked, read = [], set()
+    bind, removals = oracle._Grading.bind, KoszulOracle._removals
+
+    def recording_bind(self, x, w, fail):
+        mult = bind(self, x, w, fail)
+        if mult is not None:
+            checked.append((x, w))
+        return mult
+
+    def recording_removals(self, i, v):
+        got = removals(self, i, v)
+        read.update((x, w) for (_, w, _, _), maps in zip(self.basis(i, v)[0], got)
+                    for _, x, _, _, _ in maps)
+        return got
+
+    monkeypatch.setattr(oracle._Grading, "bind", recording_bind)
+    monkeypatch.setattr(KoszulOracle, "_removals", recording_removals)
+    tor_over_S(family("sl", 3), workers=1)
+    assert read
+    assert len(checked) == len(set(checked)) == len(read)
+    assert set(checked) == read
+
+
+def test_basis_without_a_nonzero_piece_asks_for_no_coordinates(monkeypatch):
+    f = family("sl", 3)
+    ring = ring_for_family(f)
+    kept = KoszulOracle(ring, oracle._torus_grading(ring, f.torus_weights))
+
+    def refused(self, w, eps_weight):
+        raise AssertionError(f"kept asked for {w}")
+
+    monkeypatch.setattr(oracle._Grading, "kept", refused)
+    # i > total(v): every piece v - deg eps lies outside the quadrant
+    assert kept.basis(4, (1, 1)) == ([], [])
+    # every piece v - deg eps, (1, 3), (2, 2) and (3, 1), is zero for sl_3
+    assert not any(ring.dim(w) for w in ((1, 3), (2, 2), (3, 1)))
+    assert kept.basis(2, (3, 3)) == ([], [])
+
+
+def test_basis_asks_for_each_weight_class_once(monkeypatch):
+    asked = []  # per basis call, the (w, eps weight) of each kept call
+    kept, basis = oracle._Grading.kept, KoszulOracle.basis
+
+    def recording_kept(self, w, eps_weight):
+        assert self.ring.dim(w)
+        asked[-1].append((w, eps_weight))
+        return kept(self, w, eps_weight)
+
+    def recording_basis(self, i, v):
+        asked.append([])
+        return basis(self, i, v)
+
+    monkeypatch.setattr(oracle._Grading, "kept", recording_kept)
+    monkeypatch.setattr(KoszulOracle, "basis", recording_basis)
+    tor_over_S(family("sl", 3), workers=1)
+    assert max(map(len, asked)) > 1
+    assert all(len(calls) == len(set(calls)) for calls in asked)
+
+
 def matrices_digest(f, fld, graded: bool) -> str:
     """A digest of the orbit list of every ``basis(i, v)``, i <= nvars, and
     of every ``columns(i, v)``, i >= 1, total(v) <= i + 3, under the torus
@@ -1101,6 +1163,17 @@ def test_full_range_agreement_over_the_cross_check_prime():
         t = tor_over_S(f, fld=GF(32003))
         assert not betti_closed(f).diff(t), (kind, n)
         assert not t.boundary_hits
+
+
+@pytest.mark.parametrize("kind, n", ORACLE_RANGE + [("gl", 4), ("so", 4)], ids=str)
+def test_tor_tables_are_the_same_over_the_rationals_and_a_large_prime(kind, n):
+    # no closed form in between: the two fields agree entry by entry, in
+    # scan order, and on the boundary hits
+    f = family(kind, n)
+    rational = tor_over_S(f, workers=1)
+    modular = tor_over_S(f, fld=GF(32003), workers=1)
+    assert list(rational.entries.items()) == list(modular.entries.items())
+    assert rational.boundary_hits == modular.boundary_hits
 
 
 def test_degrees_beyond_the_complex_cost_nothing():
