@@ -185,10 +185,14 @@ def _row_echelon(columns, p: int | None) -> Echelon:
     return ech
 
 
-def rank_of_columns(columns, fld: Field = QQ) -> int:
+def rank_of_columns(columns, fld: Field = QQ, sizes=None) -> int:
     """Rank of the matrix whose column j is ``columns[j]``, by the forward
-    row elimination of ``kernel_of_columns``, with no back-substitution."""
-    return _row_echelon(columns, fld.p).dimension
+    row elimination of ``kernel_of_columns``, with no back-substitution.
+
+    With ``sizes``, each pivot column j (one that is not a combination of
+    the columns before it) counts ``sizes[j]`` times."""
+    ech = _row_echelon(columns, fld.p)
+    return ech.dimension if sizes is None else sum(sizes[j] for j in ech.rows)
 
 
 def kernel_of_columns(columns, fld: Field = QQ) -> list[dict]:

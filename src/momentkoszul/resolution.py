@@ -47,8 +47,8 @@ there (m.K)_v is spanned by the variable multiples x.K_{v - deg x}, built
 only until they fill K_v and inserted in the private coordinates of 3 (in
 all coordinates in the top total degree, which has no kernel basis).  Most
 of them are redundant, so the step keeps a basis of each K_u whose vectors
-carry a label: the variable y of a product y.b that grew the span of K_u,
-or ``nvars`` for a chosen vector.  In degree v, stage x (variables in
+carry their weight and a label: the variable y of a product y.b that grew
+the span of K_u, or ``nvars`` for a chosen vector.  In degree v, stage x (variables in
 index order) multiplies by x only the vectors of K_{v - deg x} labelled x
 or higher, Janet's multiplicative variables.  The others add nothing:
 x.(y.b) = y.(x.b) with x.b in K (a submodule), which stage y < x spanned
@@ -68,13 +68,46 @@ per (x, u) in the degree being built (``_multiplier``): the basis positions
 of u and u + deg x and x's maps on the quotient pieces are looked up once
 for all the vectors it multiplies, and a zero column needs no product.
 
-In the top total degree nothing is read later, so the steps only count:
-a middle step takes the rank of its columns from the forward row
-elimination alone (``linalg.rank_of_columns``), runs the rank check of 2,
-and hands dim K_v - rank generators and the next dim K_v, the number of
-columns minus the rank, on; the last step counts dim K_v minus the
-dimension of the variable span.  No kernel basis is read off and no
-generator is chosen there.
+In the top total degree nothing is read later, so the steps only count, and
+only the dominant torus-weight classes.  Variable slot k has the weight
++-e_{k mod n} in Z^n (``RepFamily.torus_weights``), packed into one int as
+in the Tor oracle, and ``oracle._torus_grading`` checks, over the ring's
+field, that every generator of I is weight-homogeneous and that S_n,
+permuting the index of every block of n slots, keeps I; a ring that fails
+gets the trivial grading (every element of weight 0, orbit size 1), and the
+same code keeps everything and counts each element once.  The generators of
+I being homogeneous, the multiplication maps of S/I keep weights.  Every
+generator of F_s carries a weight, F_0's 0; the basis element (h, m) has
+wt(h) + wt(m), and a chosen vector's weight is that of its entries, all
+equal (a vector with entries of two weights raises ``AssertionError`` naming
+the step and degree, even under ``python -O``).  So every column and every
+variable multiple is weight-homogeneous.  A middle step builds only the
+columns of dominant weight (coordinates descending), ranks them by the
+forward row elimination alone (``linalg.rank_of_columns``), counting each
+pivot column with the size |S_n.lam| of its weight's orbit, runs the rank
+check of 2, and hands dim K_v - rank generators and the next dim K_v, the
+number of all its columns minus the rank, on.  The last step inserts only
+the products x.b of dominant weight wt(b) + wt(x), in all coordinates,
+counts each that grows the span with its orbit size, stops when the count
+reaches dim K_v, and counts dim K_v minus that.  No kernel basis is read off
+and no generator is chosen there.
+
+The count is exact.  Each pi in S_n keeps I and permutes the variables,
+carrying the weight lam onto pi.lam, so it is a ring automorphism of S/I
+that turns a minimal Z^2 x Z^n-graded free resolution of k into another one,
+and minimal resolutions are unique up to isomorphism.  Hence
+beta_{s,(v,lam)} = beta_{s,(v,pi.lam)}.  So are dim (F_s)_{v,lam}, the sum
+of beta_{s,(w,mu)} dim (S/I)_{v-w,lam-mu} over (w, mu), and, the resolution
+being exact, dim K_{v,lam} at step s, the alternating sum of dim
+(F_{s+j})_{v,lam} over j >= 0, and dim (m.K)_{v,lam} = dim K_{v,lam} -
+beta_{s,(v,lam)}.  Every full count is then the sum over dominant lam of
+|S_n.lam| times the class count.  A vector of one weight has its entries in
+the rows of that weight alone, so one elimination of the dominant vectors
+grows exactly when a vector is independent of those of its class before it:
+its pivots, counted by orbit size, give the rank of the columns in a middle
+step and the dimension of (m.K)_v in the last.  There the products with
+label >= x of weight lam span (m.K)_{v,lam}, the weight-lam part of the span
+of all of them.
 
 Minimality (no unit entry in any presentation) is checked on every chosen
 vector and raises ``AssertionError`` even under ``python -O``.  That covers
@@ -82,7 +115,8 @@ all of K_v: K_v = (m.K)_v + span(chosen), and no element of (m.K)_v has an
 entry at a generator of degree v, so an element of K_v with such an entry
 forces one on some chosen vector.  Neither shortcut above changes (m.K)_v:
 the rank-first step only skips the span when (m.K)_v = K_v, where nothing
-is chosen, and the multiplicative variables span all of the multiples.  The
+is chosen, and the multiplicative variables span all of the multiples.
+Below the top total degree every weight class is kept and counted once.  The
 chosen vectors are read off the kernel's elimination and the span is a
 second elimination, of the columns in the private coordinates, so the
 check cross-checks the two; a middle step also requires as many chosen
@@ -102,7 +136,7 @@ max_total_degree add nothing and are not built: max_i is clamped to it.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import chain
 
 from .betti import BettiTable
@@ -121,15 +155,38 @@ from .monomials import (
     sub_bidegrees,
     total,
 )
+from .oracle import _Grading, _torus_grading
 from .quotient import QuotientRing, ring_for_family
 
 
-class _Module:
-    """Graded basis bookkeeping for a free module with given generator degrees."""
+class _Weights(dict):
+    """The packed torus weights of ``grading``: ``variables[x]`` is that of
+    variable x, and ``self[w]`` lists that of each basis monomial of
+    (S/I)_w in basis order, computed on the first lookup of w and kept."""
 
-    def __init__(self, ring: QuotientRing, gens: list[BiDegree]):
+    def __init__(self, grading: _Grading):
+        super().__init__()
+        self.grading = grading
+        nvars = grading.ring.nvars
+        self.variables = [grading.weight([int(k == x) for k in range(nvars)])
+                          for x in range(nvars)]
+
+    def __missing__(self, w: BiDegree) -> list[int]:
+        weight = self.grading.weight
+        got = self[w] = [weight(m) for m in self.grading.ring.piece(w).basis]
+        return got
+
+
+class _Module:
+    """Graded basis bookkeeping for a free module with given generator
+    degrees and packed torus weights."""
+
+    def __init__(self, ring: QuotientRing, piece_weights: _Weights,
+                 gens: list[BiDegree], gen_weights: list[int]):
         self.ring = ring
+        self.piece_weights = piece_weights
         self.gens = gens
+        self.gen_weights = gen_weights
         self._blocks: dict[BiDegree, tuple[dict, list]] = {}
 
     def blocks(self, v: BiDegree):
@@ -152,14 +209,21 @@ class _Module:
         self._blocks[v] = result
         return result
 
-    def add_generators(self, v: BiDegree, count: int):
-        """Appends ``count`` generators of degree v.  Their blocks come last
-        in degree v; no block above v may be built yet."""
+    def weights(self, owners) -> list[int]:
+        """The weight of each basis element (gen, w_rest, inner) of
+        ``owners``: the generator's weight plus its basis monomial's."""
+        gens, pieces = self.gen_weights, self.piece_weights
+        return [gens[gi] + pieces[rest][inner] for gi, rest, inner in owners]
+
+    def add_generators(self, v: BiDegree, weights: list[int]):
+        """Appends one generator of degree v per weight.  Their blocks come
+        last in degree v; no block above v may be built yet."""
         offsets, owners = self.blocks(v)
-        for gi in range(len(self.gens), len(self.gens) + count):
+        for gi in range(len(self.gens), len(self.gens) + len(weights)):
             offsets[gi] = len(owners)
             owners.append((gi, (0, 0), 0))
-        self.gens.extend([v] * count)
+        self.gens.extend([v] * len(weights))
+        self.gen_weights.extend(weights)
 
 
 def _multiplier(module: _Module, x: int, u: BiDegree):
@@ -217,8 +281,9 @@ def _first_divisions(ring: QuotientRing, w: BiDegree) -> list[tuple]:
 
 def _lower_columns(ring: QuotientRing, module: _Module, next_module: _Module,
                    built: dict[BiDegree, list[dict]], v: BiDegree,
-                   divisions: dict) -> list[dict]:
-    """The columns in degree v of the generators of next_module below v.
+                   divisions: dict, owners: list) -> list[dict]:
+    """The columns in degree v of the generators of next_module below v, one
+    per basis element (gen, w_rest, inner) of ``owners``, in that order.
 
     The column of (generator h, basis monomial m) is x times the column of
     (h, m/x), built one total degree lower, where x is the first variable
@@ -228,7 +293,7 @@ def _lower_columns(ring: QuotientRing, module: _Module, next_module: _Module,
     # x -> (multiplication by x from u = v - deg x, the columns built in u,
     # their block offsets)
     below: dict[int, tuple] = {}
-    for gi, rest, inner in next_module.blocks(v)[1]:
+    for gi, rest, inner in owners:
         got = divisions.get(rest)
         if got is None:
             got = divisions[rest] = _first_divisions(ring, rest)
@@ -304,21 +369,48 @@ def _complement(kvecs: list[dict], span: Echelon, owners: list, step: int,
     return chosen
 
 
-def _variable_span(module: _Module, basis: dict, v: BiDegree, dim: int,
-                   private: dict[int, int] | None, p: int | None
-                   ) -> tuple[Echelon, list[tuple[dict, int]]]:
-    """An echelon form of (m.K)_v in the private coordinates ``private``, or
-    in all coordinates where None, stopped once it fills K_v (``dim``), and
-    the products that grew it, each labelled with its variable.
+def _chosen_weights(chosen: list[dict], module: _Module, step: int,
+                    v: BiDegree) -> list[int]:
+    """The weight of each chosen vector of degree v of ``module``: that of
+    its entries.
 
-    ``basis[u]`` is a basis of K_u of labelled vectors: a product y.b
-    carries its variable y, a chosen generator ``ring.nvars``.  Stage x
-    inserts x.b for b in ``basis[v - deg x]`` with label >= x only: for a
-    label y < x, x.(y.b) = y.(x.b) lies in y.K_{v - deg y}, which stage y
-    spanned.
+    Raises ``AssertionError`` on a vector whose entries have more than one
+    weight.
+    """
+    owners = module.blocks(v)[1]
+    weights = iter(module.weights(
+        map(owners.__getitem__, chain.from_iterable(chosen))))
+    out = []
+    for kv in chosen:
+        seen = {next(weights) for _ in kv}
+        if len(seen) != 1:
+            raise AssertionError(
+                f"chosen vector of {len(seen)} torus weights at step {step}, "
+                f"degree {v}")
+        out.append(seen.pop())
+    return out
+
+
+def _variable_span(module: _Module, basis: dict, v: BiDegree, dim: int,
+                   private: dict[int, int] | None, sizes, p: int | None
+                   ) -> tuple[Echelon, int, list[tuple[dict, int, int]]]:
+    """An echelon form of (m.K)_v in the private coordinates ``private``, or
+    in all coordinates where None, its dimension counted by weight, and the
+    products that grew it, each with its variable and its weight.
+
+    ``basis[u]`` is a basis of K_u of vectors with a label and a weight: a
+    product y.b carries its variable y, a chosen generator ``ring.nvars``.
+    Stage x inserts x.b for b in ``basis[v - deg x]`` with label >= x only:
+    for a label y < x, x.(y.b) = y.(x.b) lies in y.K_{v - deg y}, which
+    stage y spanned.  A product of weight lam is inserted only where
+    ``sizes[lam]`` is nonzero, and a product that grows the span adds
+    ``sizes[lam]`` to the count; the insertions stop once the count fills
+    K_v (``dim``).
     """
     ring = module.ring
+    shifts = module.piece_weights.variables
     span = Echelon(p)
+    count = 0
     grown = []
     for x in range(ring.nvars):
         u = sub_bidegrees(v, ring.var_bidegree(x))
@@ -326,15 +418,18 @@ def _variable_span(module: _Module, basis: dict, v: BiDegree, dim: int,
         if not lower:
             continue
         multiply = _multiplier(module, x, u)
-        for b, label in lower:
-            if span.dimension == dim:
-                return span, grown
-            if label >= x:
+        shift = shifts[x]
+        for b, label, weight in lower:
+            if count >= dim:
+                return span, count, grown
+            size = sizes[weight + shift] if label >= x else 0
+            if size:
                 vec = multiply(b)
                 if span.insert(vec if private is None
                                else _project(vec, private)):
-                    grown.append((vec, x))
-    return span, grown
+                    count += size
+                    grown.append((vec, x, weight + shift))
+    return span, count, grown
 
 
 def resolve_k_over_quotient(f: RepFamily, max_i: int, max_total_degree: int,
@@ -345,18 +440,26 @@ def resolve_k_over_quotient(f: RepFamily, max_i: int, max_total_degree: int,
     # F_i has no generator below total degree i
     max_i = min(max_i, max_total_degree)
     ring = ring_for_family(f, fld)
+    grading = _torus_grading(ring, f.torus_weights)
+    piece_weights = _Weights(grading)
     entries = {(0, (0, 0)): 1}
-    # F_0, ..., F_max_i
-    modules = [_Module(ring, [] if s else [(0, 0)]) for s in range(max_i + 1)]
+    # F_0, ..., F_max_i; F_0's generator has weight 0
+    modules = [_Module(ring, piece_weights, [] if s else [(0, 0)],
+                       [] if s else [0]) for s in range(max_i + 1)]
     # built[s - 1]: columns of d_s per degree, in modules[s]'s basis order
     built: list[dict[BiDegree, list[dict]]] = [{} for _ in range(max_i)]
-    # last step: labelled basis of K_u per degree, for _variable_span
-    basis: dict[BiDegree, list[tuple[dict, int]]] = {}
+    # last step: basis of K_u per degree, labelled and weighted, for
+    # _variable_span
+    basis: dict[BiDegree, list[tuple[dict, int, int]]] = {}
     divisions: dict[BiDegree, list[tuple]] = {}
+    # below the top total degree every weight class is kept, counted once
+    once: dict[int, int] = defaultdict(lambda: 1)
     for v in bidegrees_up_to_total(max_total_degree):
         # the top total degree only counts: nothing reads its kernel bases,
-        # columns or chosen generators
+        # columns or chosen generators, so it keeps the dominant weight
+        # classes alone, each counted with its orbit size
         keep = total(v) < max_total_degree
+        sizes = once if keep else grading.orbits
         # kernel of the augmentation F_0 = R -> k; kvecs is a basis of K_v
         # where it is kept
         dim = ring.dim(v) if v != (0, 0) else 0
@@ -368,29 +471,43 @@ def resolve_k_over_quotient(f: RepFamily, max_i: int, max_total_degree: int,
                 # variable multiples x.K_{v - deg x}
                 private = (_private_coordinates(kvecs, step, v) if keep
                            else None)
-                span, grown = _variable_span(module, basis, v, dim, private,
-                                             fld.p)
-                count = dim - span.dimension
+                span, spanned, grown = _variable_span(
+                    module, basis, v, dim, private, sizes, fld.p)
+                if spanned > dim:
+                    raise AssertionError(
+                        f"variable multiples of rank {spanned} in a kernel "
+                        f"of dimension {dim} at step {step}, degree {v}")
+                count = dim - spanned
                 if keep:
                     chosen = _complement(kvecs, span, module.blocks(v)[1],
                                          step, v)
-                    basis[v] = grown + [(kv, ring.nvars) for kv in chosen]
+                    basis[v] = grown + [
+                        (kv, ring.nvars, w) for kv, w in
+                        zip(chosen, _chosen_weights(chosen, module, step, v))]
                 basis.pop((v[0], v[1] - 1), None)
             else:
                 next_module, step_built = modules[step], built[step - 1]
-                columns = _lower_columns(ring, module, next_module,
-                                         step_built, v, divisions)
+                owners = next_module.blocks(v)[1]
                 if keep:
+                    columns = _lower_columns(ring, module, next_module,
+                                             step_built, v, divisions, owners)
                     kernel = kernel_of_columns(columns, fld) if columns else []
                     rank = len(columns) - len(kernel)
                 else:
-                    rank = rank_of_columns(columns, fld)
+                    # the columns of dominant weight, each pivot counted
+                    # with its orbit size
+                    weights = next_module.weights(owners)
+                    columns = _lower_columns(
+                        ring, module, next_module, step_built, v, divisions,
+                        [o for o, w in zip(owners, weights) if sizes[w]])
+                    rank = rank_of_columns(
+                        columns, fld, [sizes[w] for w in weights if sizes[w]])
                 if rank > dim:
                     raise AssertionError(
                         f"columns of rank {rank} in a kernel of dimension "
                         f"{dim} at step {step}, degree {v}")
                 count = dim - rank
-                dim = len(columns) - rank
+                dim = len(owners) - rank
                 if keep:
                     if count:
                         span = _column_span(
@@ -402,7 +519,8 @@ def resolve_k_over_quotient(f: RepFamily, max_i: int, max_total_degree: int,
                             raise AssertionError(
                                 f"{len(chosen)} generators chosen, {count} "
                                 f"expected, at step {step}, degree {v}")
-                        next_module.add_generators(v, len(chosen))
+                        next_module.add_generators(
+                            v, _chosen_weights(chosen, module, step, v))
                         columns += chosen
                     if columns:
                         step_built[v] = columns

@@ -248,8 +248,8 @@ def raised_rank(real):
     call, as if its columns held a vector outside the kernel below."""
     done = []
 
-    def rank(columns, fld):
-        out = real(columns, fld)
+    def rank(columns, fld, sizes):
+        out = real(columns, fld, sizes)
         if not done:
             done.append(out)
             out += 1
@@ -269,3 +269,73 @@ def summed_kernel_vectors(real):
         return out
 
     return kernel
+
+
+def mixed_weight_complement(real):
+    """A resolution ``_complement`` that returns one vector of two torus
+    weights once.
+
+    Wraps ``real``.  In the first call that chooses two vectors or more, the
+    first chosen vector gains the entries of the second.  At step 1 in
+    degree (1, 0) the chosen vectors are the variables p_i of (S/I)_(1,0),
+    and no two of them have the same weight.
+    """
+    done = []
+
+    def complement(kvecs, span, owners, step, v):
+        chosen = real(kvecs, span, owners, step, v)
+        if not done and len(chosen) > 1:
+            done.append(v)
+            chosen = [{**chosen[0], **chosen[1]}] + chosen[1:]
+        return chosen
+
+    return complement
+
+
+def column_outside_the_kernel(real, v, step):
+    """A resolution ``_lower_columns`` that puts one column of d_step in
+    degree ``v`` outside the kernel K_v of the step below.
+
+    Wraps ``real``; the step is the number of calls in degree v so far.
+    At ``step``, the first zero column whose weight has an S_n orbit of
+    more than one weight becomes the unit vector of a basis element of that
+    weight whose column of d_(step - 1), built in the call before, is not
+    zero.  The other columns lie in K_v, so the planted one grows the span
+    of its weight class by one.  ``lower_columns.planted`` records the
+    column and its orbit size.
+    """
+    nonzero = {}
+
+    def lower_columns(ring, module, next_module, built, u, divisions, owners):
+        columns = real(ring, module, next_module, built, u, divisions, owners)
+        if u != v:
+            return columns
+        lower_columns.calls += 1
+        weights = next_module.weights(owners)
+        if lower_columns.calls == step:
+            orbits = module.piece_weights.grading.orbits
+            j = next(j for j, col in enumerate(columns)
+                     if not col and orbits[weights[j]] > 1
+                     and weights[j] in nonzero)
+            pos = module.blocks(u)[1].index(nonzero[weights[j]])
+            columns[j] = {pos: 1}
+            lower_columns.planted = (j, orbits[weights[j]])
+        nonzero.clear()
+        for owner, col, w in zip(owners, columns, weights):
+            if col:
+                nonzero.setdefault(w, owner)
+        return columns
+
+    lower_columns.calls = 0
+    lower_columns.planted = None
+    return lower_columns
+
+
+def raised_span(real, v):
+    """A resolution ``_variable_span`` that counts one more than the span in
+    degree ``v``, as if a product outside K_v had grown it."""
+    def variable_span(module, basis, u, dim, private, sizes, p):
+        span, count, grown = real(module, basis, u, dim, private, sizes, p)
+        return span, count + (u == v), grown
+
+    return variable_span

@@ -19,15 +19,18 @@ from momentkoszul.fields import GF, QQ
 from momentkoszul.ideals import family
 from momentkoszul.linalg import InvalidInputError
 from momentkoszul.monomials import basis_index, bidegrees_up_to_total, total
-from momentkoszul.oracle import hilbert_oracle
+from momentkoszul.oracle import _Grading, hilbert_oracle
 from momentkoszul.quotient import ring_for_family
 from momentkoszul.resolution import resolve_k_over_quotient
 from momentkoszul.verify import table_poincare_totals
 
 from helpers import (
+    column_outside_the_kernel,
     deadline,
     dropped_kernel_vector,
+    mixed_weight_complement,
     raised_rank,
+    raised_span,
     series_coeffs_one_var,
     summed_kernel_vectors,
     unit_entry_complement,
@@ -301,6 +304,15 @@ def test_resolution_builds_each_multiple_of_sp2_once(monkeypatch):
     assert 0 < len(products) <= 50_000, f"{len(products)} products"
 
 
+def test_resolution_builds_few_multiples_of_sl3(monkeypatch):
+    # the top total degree multiplies only the vectors whose product has a
+    # dominant weight: 26,726 products on sl_3 (5, 7) when it multiplied
+    # every one
+    products = _count_products(monkeypatch)
+    resolve_k_over_quotient(family("sl", 3), 5, 7)
+    assert 0 < len(products) <= 20_000, f"{len(products)} products"
+
+
 def test_resolution_refuses_a_negative_total_degree_bound():
     with pytest.raises(InvalidInputError, match="max_total_degree=-2"):
         resolve_k_over_quotient(family("sl", 2), 3, -2)
@@ -414,9 +426,10 @@ def test_one_kernel_elimination_per_step_and_degree(monkeypatch, kind, n,
                                resolution.kernel_of_columns)
     current, calls = [], []
 
-    def lower_columns(ring, module, next_module, built, v, divisions):
+    def lower_columns(ring, module, next_module, built, v, divisions, owners):
         current[:] = [(id(module), v)]
-        return real_lower(ring, module, next_module, built, v, divisions)
+        return real_lower(ring, module, next_module, built, v, divisions,
+                          owners)
 
     def kernel(columns, fld):
         calls.append(current[0])
@@ -558,17 +571,18 @@ def test_top_degree_only_counts(monkeypatch, kind, n, max_i, max_total):
         resolution.rank_of_columns, resolution._complement)
     current, kernels, ranks, complements = [], [], [], []
 
-    def lower_columns(ring, module, next_module, built, v, divisions):
+    def lower_columns(ring, module, next_module, built, v, divisions, owners):
         current[:] = [(id(module), v)]
-        return real_lower(ring, module, next_module, built, v, divisions)
+        return real_lower(ring, module, next_module, built, v, divisions,
+                          owners)
 
     def kernel(columns, fld):
         kernels.append(current[0])
         return real_kernel(columns, fld)
 
-    def rank(columns, fld):
+    def rank(columns, fld, sizes):
         ranks.append(current[0])
-        return real_rank(columns, fld)
+        return real_rank(columns, fld, sizes)
 
     def complement(kvecs, span, owners, step, v):
         complements.append(v)
@@ -629,3 +643,110 @@ def test_generator_count_check_catches_a_span_short_of_the_rank(monkeypatch):
                        match=r"14 generators chosen, 1 expected, at step 3, "
                              r"degree \(3, 1\)"):
         resolve_k_over_quotient(family("sl", 2), 4, 5)
+
+
+#: The benchmark windows over both fields, and sl_4 (5, 7), whose S_4
+#: orbits have 1 to 24 weights, over F_32003.
+CLASS_WINDOWS = [(window, field) for window in BENCHMARK_TABLES
+                 for field in sorted(FIELDS)] + [(("sl", 4, 5, 7), "F_32003")]
+
+
+@pytest.mark.parametrize("window,field", CLASS_WINDOWS,
+                         ids=[f"{w[0]}_{w[1]}-{fld}" for w, fld in CLASS_WINDOWS])
+def test_class_count_equals_the_whole_count(monkeypatch, window, field):
+    # the top total degree counts the dominant weight classes, each with
+    # its orbit size; under the trivial grading (every element of weight 0,
+    # counted once) the same code counts every element
+    kind, n, max_i, max_total = window
+    f, fld = family(kind, n), FIELDS[field]
+    real = resolution._torus_grading
+    gradings = []
+
+    def torus_grading(ring, weights):
+        gradings.append(real(ring, weights))
+        return gradings[-1]
+
+    monkeypatch.setattr(resolution, "_torus_grading", torus_grading)
+    by_class = resolve_k_over_quotient(f, max_i, max_total, fld)
+    assert [g.n for g in gradings] == [n]
+    monkeypatch.setattr(resolution, "_torus_grading",
+                        lambda ring, weights: _Grading(ring))
+    whole = resolve_k_over_quotient(f, max_i, max_total, fld)
+    assert by_class.entries == whole.entries
+    assert by_class.boundary_hits == whole.boundary_hits
+
+
+def test_top_degree_rank_check_fires_in_a_class_of_orbit_six(monkeypatch):
+    # sl_3 (5, 5): total degree 5 is the top one, and step 3 at (4, 1) has
+    # no generator, so its columns fill K_v.  A column of a weight with six
+    # weights in its S_3 orbit, planted outside K_v, raises the class's
+    # rank by one and the rank counted by orbit by six.
+    lower = column_outside_the_kernel(resolution._lower_columns, (4, 1), 3)
+    monkeypatch.setattr(resolution, "_lower_columns", lower)
+    with pytest.raises(AssertionError,
+                       match=r"columns of rank 131 in a kernel of dimension "
+                             r"125 at step 3, degree \(4, 1\)"):
+        resolve_k_over_quotient(family("sl", 3), 5, 5)
+    assert lower.planted[1] == 6
+
+
+def test_span_check_catches_multiples_outside_the_kernel(monkeypatch):
+    # sl_3 (3, 4): in the top degree the last step's products of dominant
+    # weight at (4, 0), counted by orbit, fill K_v of dimension 3; one more
+    # exceeds it
+    monkeypatch.setattr(resolution, "_variable_span",
+                        raised_span(resolution._variable_span, (4, 0)))
+    with pytest.raises(AssertionError,
+                       match=r"variable multiples of rank 4 in a kernel of "
+                             r"dimension 3 at step 3, degree \(4, 0\)"):
+        resolve_k_over_quotient(family("sl", 3), 3, 4)
+
+
+def test_span_check_survives_python_O():
+    tests = Path(__file__).parent
+    script = (
+        "assert False, 'asserts are on'\n"
+        "import momentkoszul.resolution as r\n"
+        "from momentkoszul.ideals import family\n"
+        "from helpers import raised_span\n"
+        "r._variable_span = raised_span(r._variable_span, (4, 0))\n"
+        "r.resolve_k_over_quotient(family('sl', 3), 3, 4)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert ("AssertionError: variable multiples of rank 4 in a kernel of "
+            "dimension 3 at step 3, degree (4, 0)") in proc.stderr
+
+
+def test_weight_check_catches_a_generator_of_two_weights(monkeypatch):
+    # sl_2 at step 1, degree (1, 0): the generators are p_1 and p_2, of
+    # weights e_1 and e_2; their sum, chosen in place of p_1, keeps the
+    # count and passes the minimality check
+    monkeypatch.setattr(resolution, "_complement",
+                        mixed_weight_complement(resolution._complement))
+    with pytest.raises(AssertionError,
+                       match=r"chosen vector of 2 torus weights at step 1, "
+                             r"degree \(1, 0\)"):
+        resolve_k_over_quotient(family("sl", 2), 4, 5)
+
+
+def test_weight_check_survives_python_O():
+    tests = Path(__file__).parent
+    script = (
+        "assert False, 'asserts are on'\n"
+        "import momentkoszul.resolution as r\n"
+        "from momentkoszul.ideals import family\n"
+        "from helpers import mixed_weight_complement\n"
+        "r._complement = mixed_weight_complement(r._complement)\n"
+        "r.resolve_k_over_quotient(family('sl', 2), 4, 5)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert ("AssertionError: chosen vector of 2 torus weights at step 1, "
+            "degree (1, 0)") in proc.stderr
