@@ -36,37 +36,15 @@ call returns; a pool worker keeps its own copy of each.  The exterior
 tables, by shape and by shape and grading, and the orbit sizes of each
 Z^n stay for the process.
 
-Mirror.  When the ring passes ``_swaps_p_and_q``, only the bidegrees (a, b)
-with a >= b are ranked, and beta_i(a, b) for a < b is read off (b, a).  The
-check asks num_p = num_q and that the swap sigma: p_k <-> q_k sends every
-generator into I, its normal form in its bidegree being zero over the ring's
-field.  Then sigma(I) is in I, and sigma(I) = I because sigma^2 = id, so
-sigma is a ring automorphism of S that keeps I, swaps the two gradings and
-permutes the variables; it carries the complex of (a, b) onto that of
-(b, a), and the two Betti numbers are equal exactly.  Every family here
-passes; a ring that fails is ranked in every bidegree.
-
-Orbits.  Within a ranked bidegree only one torus weight per S_n orbit is
-ranked.  Variable slot k has the weight +-e_{k mod n} in Z^n
-(``RepFamily.torus_weights``), and ``_torus_grading`` checks once per call,
-over the ring's field, that every generator is weight-homogeneous and that
-the transposition (1 2) and the n-cycle, permuting the index of every block
-of n slots, each send every generator into I (``_keeps_ideal``, which also
-checks the swap).  Homogeneous generators make every row of the reduced
-echelon of I_v homogeneous, so normal forms and ``mult_by_var`` keep
-weights, and the complex of v is the direct sum of complexes K(v, lambda),
-one per weight.  The two permutations generate S_n, so every pi in S_n keeps
-I, and pi, a ring automorphism that permutes the variables, carries
-K(v, lambda) onto K(v, pi.lambda).  Hence
-beta_i(v) = sum over dominant lambda of |S_n.lambda| beta_i(v, lambda),
-dominant meaning that the coordinates descend, and exactly: ``KoszulOracle``
-keeps the basis elements of dominant weight and counts each with the size
-of its weight's orbit in every dimension and rank; a rank so counted sums
-|S_n.lambda| times the rank of each dominant weight's block, because every
-column has its entries in rows of its own weight.  A ring that fails the
-check is ranked whole, as the trivial grading in Z^0: every basis element
-kept, counted once.  The kept part has one block per exterior monomial eps,
-the coordinates of (S/I)_{v - deg eps} whose weight plus wt(eps) is
+Symmetries.  ``grading.py`` states the torus grading, its S_n check and
+the swap check once.  Here the complex of v is the direct sum of complexes
+K(v, lambda), one per weight, and pi in S_n carries K(v, lambda) onto
+K(v, pi.lambda), so beta_i(v) = sum over dominant lambda of |S_n.lambda|
+beta_i(v, lambda); when the swap keeps I, beta_i(a, b) for a < b is read off
+(b, a).  ``KoszulOracle`` keeps the basis elements of dominant weight and
+counts each with the size of its weight's orbit in every dimension and
+rank.  The kept part has one block per exterior monomial eps, the
+coordinates of (S/I)_{v - deg eps} whose weight plus wt(eps) is
 dominant.  The exterior monomials of one bidegree e and one weight share
 what they keep, so the basis of v asks once per such class
 (``_exterior_classes``), skips every e whose piece v - e is zero, and visits
@@ -95,11 +73,6 @@ corrupted differential fails as ``d.d != 0`` before a Betti number is
 derived from a cleared rank, and at most one differential's columns are
 held at a time.
 
-Hilbert series.  ``hilbert_oracle`` reads the same two symmetries off the
-same checks: it eliminates only the dominant weight classes of each ideal
-piece I_v with a >= b, counts each with its orbit size, and reads (a, b) with
-a < b off (b, a); its docstring states the argument.
-
 The socle of S/I in degree v, the annihilator of all the variables, is
 Tor_N^S(S/I, k) in bidegree v + (num_p, num_q), N = ``ring.nvars``: there
 K_N is (S/I)_v itself and d_N stacks the maps m -> x m.  ``socle`` and
@@ -112,20 +85,17 @@ the first nonzero kernel.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from functools import cache, partial
 from itertools import combinations
-from math import factorial
-from operator import mul
 from typing import NamedTuple
 
 from .betti import BettiTable
 from .fields import QQ, Field
+from .grading import _Grading, _swaps_p_and_q, _torus_grading
 from .ideals import RepFamily
 from .linalg import Echelon, InvalidInputError
 from .monomials import (BiDegree, _non_negative, ambient_dimension,
-                        bidegrees_up_to_total, exponent_tuples, sub_bidegrees,
-                        total)
+                        bidegrees_up_to_total, sub_bidegrees, total)
 from .pieces import ideal_span_vectors
 from .polynomials import Polynomial, format_polynomial
 from .quotient import QuotientRing, ring_for_family
@@ -181,162 +151,6 @@ def _exterior_classes(nvars: int, num_p: int, i: int, slots: tuple) -> dict:
     return table
 
 
-#: A weight lam in Z^n is held packed, as the integer sum of lam_c * _BASE^c,
-#: so that adding weights adds their integers; this is one to one while
-#: every |lam_c| < _BASE / 2, far beyond any degree the oracle can reach.
-_BASE = 1 << 32
-
-
-def _orbit(lam: int, n: int) -> int:
-    """|S_n . lam| when the packed weight lam in Z^n is dominant, else 0."""
-    coords = []
-    for _ in range(n):
-        c = (lam + _BASE // 2) % _BASE - _BASE // 2
-        coords.append(c)
-        lam = (lam - c) // _BASE
-    if any(a < b for a, b in zip(coords, coords[1:])):
-        return 0
-    size = factorial(n)
-    for m in Counter(coords).values():
-        size //= factorial(m)
-    return size
-
-
-class _Orbits(dict):
-    """Packed weight lam in Z^n -> ``_orbit(lam, n)``, computed on the first
-    lookup of lam and kept."""
-
-    def __init__(self, n: int):
-        super().__init__()
-        self.n = n
-
-    def __missing__(self, lam: int) -> int:
-        size = self[lam] = _orbit(lam, self.n)
-        return size
-
-
-@cache
-def _orbit_table(n: int) -> _Orbits:
-    """The one ``_Orbits`` of Z^n, kept for the life of the process, as the
-    exterior tables are: a pass over the same families computes no orbit
-    twice."""
-    return _Orbits(n)
-
-
-class _Grading:
-    """Torus weights of the variables of ``ring``, and the quotient
-    coordinates that the oracle keeps under them.
-
-    ``weights`` gives each variable slot a weight in Z^n; None is the
-    trivial grading in Z^0, under which every coordinate has weight 0 and
-    multiplicity 1, so the oracle keeps the whole complex.  A weight is
-    dominant when its coordinates descend, and its S_n orbit has n! / prod
-    m_c! elements, m_c the number of coordinates equal to c.  Each piece is
-    grouped by weight once, the coordinates kept beside one exterior weight
-    are listed once, and each multiplication map is bound and checked
-    homogeneous once, for the life of the grading: one ``tor_over_S`` call.
-    Orbit sizes are read from the process's one table of Z^n.
-    """
-
-    def __init__(self, ring: QuotientRing, weights=None):
-        self.ring = ring
-        self.n = len(weights[0]) if weights else 0
-        self._slots = tuple(sum(x * _BASE ** c for c, x in enumerate(wt))
-                            for wt in weights or ((),) * ring.nvars)
-        self._pieces: dict[BiDegree, dict[int, list]] = {}
-        self._kept: dict[BiDegree, dict[int, tuple]] = {}
-        #: packed weight -> its orbit size, for both oracles
-        self.orbits = _orbit_table(self.n)
-        #: (x, w) -> the checked ``ring.mult_by_var(x, w)``, or None (``bind``)
-        self.maps: dict[tuple[int, BiDegree], list | None] = {}
-        self._commuting: dict[BiDegree, set[tuple[int, int]]] = {}
-        self._sides: dict[BiDegree, tuple[list[int], list[int]]] = {}
-
-    def weight(self, exponents) -> int:
-        """The packed weight of the monomial with these exponents."""
-        return sum(map(mul, exponents, self._slots))
-
-    def side_weights(self, v: BiDegree) -> tuple[list[int], list[int]]:
-        """The packed weights of P_a and of Q_b, v = (a, b), each in
-        canonical order; cached for the life of the grading."""
-        got = self._sides.get(v)
-        if got is None:
-            num_p, slots = self.ring.num_p, self._slots
-            got = self._sides[v] = (
-                [sum(map(mul, e, slots)) for e in exponent_tuples(num_p, v[0])],
-                [sum(map(mul, e, slots[num_p:]))
-                 for e in exponent_tuples(self.ring.num_q, v[1])])
-        return got
-
-    def _by_weight(self, w: BiDegree) -> dict:
-        """mu -> the quotient coordinates of weight mu of (S/I)_w, ascending,
-        in the order the weights first occur in the piece."""
-        got = self._pieces.get(w)
-        if got is None:
-            got = self._pieces[w] = {}
-            for pos, mono in enumerate(self.ring.piece(w).basis):
-                got.setdefault(self.weight(mono), []).append(pos)
-        return got
-
-    def kept(self, w: BiDegree, eps_weight: int) -> tuple:
-        """``(coords, orbits, index)`` for (S/I)_w beside an exterior weight:
-        the quotient coordinates whose weight mu plus ``eps_weight`` is
-        dominant, in the order of ``_by_weight(w)``; the orbit size
-        |S_n . (eps_weight + mu)| of each, read from ``orbits``; and
-        coordinate -> place in
-        ``coords``.  () when no coordinate is kept: most (w, eps_weight)
-        keep none, and share that one empty tuple."""
-        by_eps = self._kept.setdefault(w, {})
-        got = by_eps.get(eps_weight)
-        if got is None:
-            coords, orbits, sizes = [], [], self.orbits
-            for mu, ps in self._by_weight(w).items():
-                orbit = sizes[eps_weight + mu]
-                if orbit:
-                    coords += ps
-                    orbits += [orbit] * len(ps)
-            got = by_eps[eps_weight] = (
-                (coords, orbits, dict(zip(coords, range(len(coords))))) if coords else ())
-        return got
-
-    def bind(self, x: int, w: BiDegree, fail: Exception):
-        """``ring.mult_by_var(x, w)``, or None when the target piece
-        (S/I)_{w + deg x} is zero, stored in ``maps`` under (x, w) for the
-        life of the grading.
-
-        The map is stored only once it is checked homogeneous: it sends
-        every coordinate of weight mu of (S/I)_w into coordinates of weight
-        mu + wt(x) alone.  One that is not raises ``fail`` and is not
-        stored, so every later bind of it raises again."""
-        ring = self.ring
-        up = (w[0] + 1, w[1]) if x < ring.num_p else (w[0], w[1] + 1)
-        mult = None
-        if ring.dim(up):
-            weight_of = {t: mu for mu, ts in self._by_weight(up).items() for t in ts}
-            mult, shift = ring.mult_by_var(x, w), self._slots[x]
-            if not all(weight_of.get(t) == mu + shift
-                       for mu, ps in self._by_weight(w).items() for pos in ps
-                       for t in mult[pos]):
-                raise fail
-        self.maps[x, w] = mult
-        return mult
-
-    def squares_commute(self, pairs, w: BiDegree) -> bool:
-        """Whether x_a x_b = x_b x_a on (S/I)_w for every pair {a, b} in
-        ``pairs``.
-
-        Each pair found to commute on (S/I)_w is recorded, so
-        ``QuotientRing.commutes`` runs at most once per (a, b, w) for the
-        life of the grading."""
-        done = self._commuting.setdefault(w, set())
-        for ab in pairs:
-            if ab not in done:
-                if not self.ring.commutes(*ab, w):
-                    return False
-                done.add(ab)
-        return True
-
-
 class KoszulOracle:
     """Chain bases, differentials and ranks of the complex over one ring.
 
@@ -385,7 +199,7 @@ class KoszulOracle:
         if 0 <= i <= ring.nvars:
             found = []
             for e, classes in _exterior_classes(ring.nvars, ring.num_p, i,
-                                                grading._slots).items():
+                                                grading.slots).items():
                 w = sub_bidegrees(v, e)
                 if w[0] < 0 or w[1] < 0 or not ring.dim(w):
                     continue
@@ -593,56 +407,6 @@ def default_workers() -> int:
     return _bounded_workers(workers)
 
 
-def _keeps_ideal(ring: QuotientRing, perm) -> bool:
-    """Whether the permutation x_k -> x_{perm[k]} of the variables maps the
-    ideal of ``ring`` into itself: each image of a generator is zero, or
-    bihomogeneous with normal form zero in its bidegree, over the ring's
-    field."""
-    for g in ring.generators:
-        terms = {}
-        for m, c in g.terms:
-            image = [0] * ring.nvars
-            for k, e in enumerate(m):
-                image[perm[k]] = e
-            terms[tuple(image)] = c
-        image = Polynomial.from_dict(ring.num_p, ring.num_q, terms)
-        w = image.bidegree()
-        if w is None:
-            if image.terms:
-                return False
-        elif any(ring.nf(w, vec) for vec in
-                 ideal_span_vectors([image], w, ring.field)):
-            return False
-    return True
-
-
-def _swaps_p_and_q(ring: QuotientRing) -> bool:
-    """Whether num_p = num_q and the swap p_k <-> q_k keeps the ideal."""
-    n = ring.num_p
-    return n == ring.num_q and _keeps_ideal(ring, [*range(n, 2 * n), *range(n)])
-
-
-def _torus_grading(ring: QuotientRing, weights) -> _Grading:
-    """The grading by ``weights`` (one weight in Z^n per slot), when every
-    generator is weight-homogeneous over the ring's field and S_n keeps the
-    ideal; else the trivial grading.
-
-    S_n acts on the index of every block of n slots, slot k to
-    n * (k // n) + pi(k mod n), and is generated by the transposition (1 2)
-    and the n-cycle, so those two are checked."""
-    grading = _Grading(ring, weights)
-    n = grading.n
-    homogeneous = all(
-        len({grading.weight(m) for m, c in g.terms if ring.field.of(c)}) <= 1
-        for g in ring.generators)
-    cycles = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []
-    if homogeneous and all(
-            _keeps_ideal(ring, [n * (k // n) + pi[k % n] for k in range(ring.nvars)])
-            for pi in cycles):
-        return grading
-    return _Grading(ring)
-
-
 def _bidegree_betti(ring: QuotientRing, task, grading: _Grading | None = None):
     """``(v, {i: beta_i(v)})`` for ``task = (v, degrees)``, from an oracle
     that holds the complex of v alone, by ``grading``, and is dropped on
@@ -803,19 +567,12 @@ def _class_dimension(ring: QuotientRing, grading: _Grading, v: BiDegree) -> int:
 def hilbert_oracle(f: RepFamily, order: int, fld: Field = QQ) -> TruncatedSeries:
     """Hilbert series of S/I by one elimination per dominant weight class.
 
-    The ring passes the checks of ``tor_over_S`` or falls back as there
-    (module docstring).  The generators are weight-homogeneous, so S_v and
-    I_v split into classes S_{v,lam} and I_{v,lam} by torus weight, and
-    I_{v,lam} is spanned by the products g*m of weight wt(g) + wt(m) = lam.
-    Each pi in S_n keeps I and permutes the monomials of S_v, carrying the
-    classes of lam onto those of pi.lam, so dim I_v is the sum over dominant
-    lam of |S_n.lam| dim I_{v,lam}.  One echelon of the dominant products
-    keeps every row inside one class, so its pivots j count it exactly:
-    dim (S/I)_v = dim S_v - sum of |S_n.wt(j)| over the pivots j.  The swap
-    p_k <-> q_k keeps I, so dim (S/I)_{(a, b)} with a < b is read off
-    (b, a).  A ring that fails the S_n check is counted by the trivial
-    grading (every class kept, orbit 1), and one that fails the swap check
-    is eliminated in every bidegree, by the same code.
+    The torus grading (``grading.py``) splits I_v into classes I_{v,lam},
+    each spanned by the products g*m of weight wt(g) + wt(m) = lam, and
+    dim I_v is the sum over dominant lam of |S_n.lam| dim I_{v,lam}.  So one
+    echelon of the dominant products gives
+    dim (S/I)_v = dim S_v - sum of |S_n.wt(j)| over its pivots j, and
+    dim (S/I)_{(a, b)} with a < b is read off (b, a) when the swap keeps I.
 
     Bidegrees come in increasing total degree, and a piece directly below a
     zero piece is zero, with no elimination: a monomial of v is a variable

@@ -69,19 +69,14 @@ of u and u + deg x and x's maps on the quotient pieces are looked up once
 for all the vectors it multiplies, and a zero column needs no product.
 
 In the top total degree nothing is read later, so the steps only count, and
-only the dominant torus-weight classes.  Variable slot k has the weight
-+-e_{k mod n} in Z^n (``RepFamily.torus_weights``), packed into one int as
-in the Tor oracle, and ``oracle._torus_grading`` checks, over the ring's
-field, that every generator of I is weight-homogeneous and that S_n,
-permuting the index of every block of n slots, keeps I; a ring that fails
-gets the trivial grading (every element of weight 0, orbit size 1), and the
-same code keeps everything and counts each element once.  The generators of
-I being homogeneous, the multiplication maps of S/I keep weights.  Every
-generator of F_s carries a weight, F_0's 0; the basis element (h, m) has
-wt(h) + wt(m), and a chosen vector's weight is that of its entries, all
-equal (a vector with entries of two weights raises ``AssertionError`` naming
-the step and degree, even under ``python -O``).  So every column and every
-variable multiple is weight-homogeneous.  A middle step builds only the
+only the dominant classes of the torus grading (``grading.py``; under the
+trivial grading the same code keeps everything and counts each element
+once).  The multiplication maps of S/I keep weights.  Every generator of
+F_s carries a weight, F_0's 0; the basis element (h, m) has wt(h) + wt(m),
+and a chosen vector's weight is that of its entries, all equal (a vector
+with entries of two weights raises ``AssertionError`` naming the step and
+degree, even under ``python -O``).  So every column and every variable
+multiple is weight-homogeneous.  A middle step builds only the
 columns of dominant weight (coordinates descending), ranks them by the
 forward row elimination alone (``linalg.rank_of_columns``), counting each
 pivot column with the size |S_n.lam| of its weight's orbit, runs the rank
@@ -92,22 +87,17 @@ counts each that grows the span with its orbit size, stops when the count
 reaches dim K_v, and counts dim K_v minus that.  No kernel basis is read off
 and no generator is chosen there.
 
-The count is exact.  Each pi in S_n keeps I and permutes the variables,
-carrying the weight lam onto pi.lam, so it is a ring automorphism of S/I
-that turns a minimal Z^2 x Z^n-graded free resolution of k into another one,
-and minimal resolutions are unique up to isomorphism.  Hence
-beta_{s,(v,lam)} = beta_{s,(v,pi.lam)}.  So are dim (F_s)_{v,lam}, the sum
-of beta_{s,(w,mu)} dim (S/I)_{v-w,lam-mu} over (w, mu), and, the resolution
-being exact, dim K_{v,lam} at step s, the alternating sum of dim
-(F_{s+j})_{v,lam} over j >= 0, and dim (m.K)_{v,lam} = dim K_{v,lam} -
-beta_{s,(v,lam)}.  Every full count is then the sum over dominant lam of
-|S_n.lam| times the class count.  A vector of one weight has its entries in
-the rows of that weight alone, so one elimination of the dominant vectors
-grows exactly when a vector is independent of those of its class before it:
-its pivots, counted by orbit size, give the rank of the columns in a middle
-step and the dimension of (m.K)_v in the last.  There the products with
-label >= x of weight lam span (m.K)_{v,lam}, the weight-lam part of the span
-of all of them.
+The count is exact.  Each pi in S_n turns a minimal Z^2 x Z^n-graded free
+resolution of k into another one, and minimal resolutions are unique up to
+isomorphism, so beta_{s,(v,lam)} = beta_{s,(v,pi.lam)}.  So are
+dim (F_s)_{v,lam}, the sum of beta_{s,(w,mu)} dim (S/I)_{v-w,lam-mu} over
+(w, mu), and, the resolution being exact, dim K_{v,lam} at step s, the
+alternating sum of dim (F_{s+j})_{v,lam} over j >= 0, and
+dim (m.K)_{v,lam} = dim K_{v,lam} - beta_{s,(v,lam)}.  The pivots of one
+elimination of the dominant vectors, counted by orbit size, give the rank
+of the columns in a middle step and the dimension of (m.K)_v in the last.
+There the products with label >= x of weight lam span (m.K)_{v,lam}, the
+weight-lam part of the span of all of them.
 
 Minimality (no unit entry in any presentation) is checked on every chosen
 vector and raises ``AssertionError`` even under ``python -O``.  That covers
@@ -141,6 +131,7 @@ from itertools import chain
 
 from .betti import BettiTable
 from .fields import QQ, Field
+from .grading import _Grading, _torus_grading
 from .ideals import RepFamily
 from .linalg import (
     Echelon,
@@ -155,36 +146,17 @@ from .monomials import (
     sub_bidegrees,
     total,
 )
-from .oracle import _Grading, _torus_grading
 from .quotient import QuotientRing, ring_for_family
-
-
-class _Weights(dict):
-    """The packed torus weights of ``grading``: ``variables[x]`` is that of
-    variable x, and ``self[w]`` lists that of each basis monomial of
-    (S/I)_w in basis order, computed on the first lookup of w and kept."""
-
-    def __init__(self, grading: _Grading):
-        super().__init__()
-        self.grading = grading
-        nvars = grading.ring.nvars
-        self.variables = [grading.weight([int(k == x) for k in range(nvars)])
-                          for x in range(nvars)]
-
-    def __missing__(self, w: BiDegree) -> list[int]:
-        weight = self.grading.weight
-        got = self[w] = [weight(m) for m in self.grading.ring.piece(w).basis]
-        return got
 
 
 class _Module:
     """Graded basis bookkeeping for a free module with given generator
     degrees and packed torus weights."""
 
-    def __init__(self, ring: QuotientRing, piece_weights: _Weights,
-                 gens: list[BiDegree], gen_weights: list[int]):
-        self.ring = ring
-        self.piece_weights = piece_weights
+    def __init__(self, grading: _Grading, gens: list[BiDegree],
+                 gen_weights: list[int]):
+        self.ring = grading.ring
+        self.grading = grading
         self.gens = gens
         self.gen_weights = gen_weights
         self._blocks: dict[BiDegree, tuple[dict, list]] = {}
@@ -212,8 +184,8 @@ class _Module:
     def weights(self, owners) -> list[int]:
         """The weight of each basis element (gen, w_rest, inner) of
         ``owners``: the generator's weight plus its basis monomial's."""
-        gens, pieces = self.gen_weights, self.piece_weights
-        return [gens[gi] + pieces[rest][inner] for gi, rest, inner in owners]
+        gens, pieces = self.gen_weights, self.grading.piece_weights
+        return [gens[gi] + pieces(rest)[inner] for gi, rest, inner in owners]
 
     def add_generators(self, v: BiDegree, weights: list[int]):
         """Appends one generator of degree v per weight.  Their blocks come
@@ -408,7 +380,7 @@ def _variable_span(module: _Module, basis: dict, v: BiDegree, dim: int,
     K_v (``dim``).
     """
     ring = module.ring
-    shifts = module.piece_weights.variables
+    shifts = module.grading.slots
     span = Echelon(p)
     count = 0
     grown = []
@@ -441,10 +413,9 @@ def resolve_k_over_quotient(f: RepFamily, max_i: int, max_total_degree: int,
     max_i = min(max_i, max_total_degree)
     ring = ring_for_family(f, fld)
     grading = _torus_grading(ring, f.torus_weights)
-    piece_weights = _Weights(grading)
     entries = {(0, (0, 0)): 1}
     # F_0, ..., F_max_i; F_0's generator has weight 0
-    modules = [_Module(ring, piece_weights, [] if s else [(0, 0)],
+    modules = [_Module(grading, [] if s else [(0, 0)],
                        [] if s else [0]) for s in range(max_i + 1)]
     # built[s - 1]: columns of d_s per degree, in modules[s]'s basis order
     built: list[dict[BiDegree, list[dict]]] = [{} for _ in range(max_i)]

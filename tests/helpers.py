@@ -313,7 +313,7 @@ def column_outside_the_kernel(real, v, step):
         lower_columns.calls += 1
         weights = next_module.weights(owners)
         if lower_columns.calls == step:
-            orbits = module.piece_weights.grading.orbits
+            orbits = module.grading.orbits
             j = next(j for j, col in enumerate(columns)
                      if not col and orbits[weights[j]] > 1
                      and weights[j] in nonzero)

@@ -19,6 +19,7 @@ from momentkoszul.closed import (
     projective_dimension,
 )
 from momentkoszul.fields import GF, QQ
+from momentkoszul.grading import _Grading, _keeps_ideal, _swaps_p_and_q, _torus_grading
 from momentkoszul.ideals import family
 from momentkoszul import ideals, oracle
 from momentkoszul.linalg import Echelon, InvalidInputError, axpy, kernel_of_columns
@@ -271,7 +272,7 @@ def test_mirrored_entries_equal_their_direct_ranks(kind, n, fld):
     # tor_over_S reads each beta_i(a, b) with a < b off (b, a); computed
     # directly instead, every one of them must come out the same
     f = family(kind, n)
-    assert oracle._swaps_p_and_q(ring_for_family(f, fld))
+    assert _swaps_p_and_q(ring_for_family(f, fld))
     table = tor_over_S(f, fld=fld, workers=1)
     below = {v for v in bidegrees_up_to_total(f.num_p + f.num_q + 3) if v[0] < v[1]}
     direct = _direct_betti(f, fld, below)
@@ -289,7 +290,7 @@ def test_a_ring_that_fails_the_swap_check_ranks_every_bidegree(monkeypatch, fld)
     f = family("gl", 2)
     ring = ring_for_family(f, fld)
     assert len(ring.generators) == 3
-    assert not oracle._swaps_p_and_q(ring)
+    assert not _swaps_p_and_q(ring)
     ranked = set()
     rank = KoszulOracle.rank
 
@@ -331,7 +332,7 @@ def test_orbit_weighted_ranks_equal_the_whole_bidegree_ranks(kind, n, fld):
     # the orbit's size; ranked whole instead, every entry must come out the same
     f = family(kind, n)
     ring = ring_for_family(f, fld)
-    assert oracle._torus_grading(ring, f.torus_weights).n == n
+    assert _torus_grading(ring, f.torus_weights).n == n
     table = tor_over_S(f, fld=fld, workers=1)
     entries, boundary = _direct_table(f, fld)
     assert table.entries == entries
@@ -349,9 +350,9 @@ def test_a_ring_that_fails_the_permutation_check_is_ranked_whole(monkeypatch, fl
     f = family("sl", 3)
     ring = ring_for_family(f, fld)
     assert len(ring.generators) == 7
-    assert not oracle._keeps_ideal(ring, [1, 0, 2, 4, 3, 5])
-    assert not oracle._keeps_ideal(ring, [1, 2, 0, 4, 5, 3])
-    assert oracle._torus_grading(ring, f.torus_weights).n == 0
+    assert not _keeps_ideal(ring, [1, 0, 2, 4, 3, 5])
+    assert not _keeps_ideal(ring, [1, 2, 0, 4, 5, 3])
+    assert _torus_grading(ring, f.torus_weights).n == 0
     weight_dims = set()  # n of the weights Z^n of every oracle
     basis = KoszulOracle.basis
 
@@ -737,7 +738,7 @@ REAL_MULT_BY_VAR = QuotientRing.mult_by_var
 def test_d_squared_catches_a_flipped_sign_in_a_kept_column(monkeypatch, workers):
     f = family("sl", 3)
     ring = ring_for_family(f)
-    kept = KoszulOracle(ring, oracle._torus_grading(ring, f.torus_weights))
+    kept = KoszulOracle(ring, _torus_grading(ring, f.torus_weights))
     i, v = 2, (2, 1)
     cols = kept.columns(i, v)
     assert len(cols) < kept.dimension(i, v)
@@ -756,7 +757,7 @@ def moved_to_another_weight(f, x: int, w):
         fresh = (y, u) not in self._mult
         cols = REAL_MULT_BY_VAR(self, y, u)
         if fresh and (y, u) == (x, w):
-            grading = oracle._Grading(self, f.torus_weights)
+            grading = _Grading(self, f.torus_weights)
             up = (w[0] + 1, w[1]) if x < self.num_p else (w[0], w[1] + 1)
             weights = [grading.weight(m) for m in self.piece(up).basis]
             col = next(col for col in cols if col)
@@ -786,7 +787,7 @@ def test_columns_on_their_own_catch_an_entry_in_a_row_of_another_weight(monkeypa
     keys = [(i, v) for i in range(1, 7) for v in bidegrees_up_to_total(i + 3)]
     assert len(keys) == 200
     ring = ring_for_family(f)
-    clean = KoszulOracle(ring, oracle._torus_grading(ring, f.torus_weights))
+    clean = KoszulOracle(ring, _torus_grading(ring, f.torus_weights))
     moved_map = (0, (1, 0))
     reads, expected = set(), {}
     for i, v in keys:
@@ -798,7 +799,7 @@ def test_columns_on_their_own_catch_an_entry_in_a_row_of_another_weight(monkeypa
     assert reads
     monkeypatch.setattr(QuotientRing, "mult_by_var", moved_to_another_weight(f, *moved_map))
     ring = ring_for_family(f)
-    kept = KoszulOracle(ring, oracle._torus_grading(ring, f.torus_weights))
+    kept = KoszulOracle(ring, _torus_grading(ring, f.torus_weights))
     for i, v in keys:
         if (i, v) in reads:
             with pytest.raises(AssertionError, match=re.escape(f"d.d != 0 at i={i}, v={v}")):
@@ -812,7 +813,7 @@ def kept_row_of_another_weight(f):
     differential that ``tor_over_S(f)`` ranks, and a row t of another weight
     that the face's block keeps, so an entry planted there has a place."""
     ring = ring_for_family(f)
-    grading = oracle._torus_grading(ring, f.torus_weights)
+    grading = _torus_grading(ring, f.torus_weights)
     kept = KoszulOracle(ring, grading)
     for i in range(1, projective_dimension(f) + 1):
         for v in bidegrees_up_to_total(i + 3):
@@ -855,7 +856,7 @@ def test_d_squared_catches_an_entry_at_a_kept_row_of_another_weight(monkeypatch,
 def test_removals_hold_the_rings_own_maps():
     f = family("sl", 3)
     ring = ring_for_family(f)
-    kept = KoszulOracle(ring, oracle._torus_grading(ring, f.torus_weights))
+    kept = KoszulOracle(ring, _torus_grading(ring, f.torus_weights))
     i, v = 3, (3, 2)
     blocks, removals = kept.basis(i, v)[0], kept._removals(i, v)
     assert len(blocks) == len(removals) and any(removals)
@@ -869,7 +870,7 @@ def test_tor_checks_each_map_it_binds_once(monkeypatch):
     # _removals looks every face up in the grading's maps; a miss binds the
     # map, and the bind weight-checks it where its target piece is nonzero
     checked, read = [], set()
-    bind, removals = oracle._Grading.bind, KoszulOracle._removals
+    bind, removals = _Grading.bind, KoszulOracle._removals
 
     def recording_bind(self, x, w, fail):
         mult = bind(self, x, w, fail)
@@ -883,7 +884,7 @@ def test_tor_checks_each_map_it_binds_once(monkeypatch):
                     for _, x, _, _, _ in maps)
         return got
 
-    monkeypatch.setattr(oracle._Grading, "bind", recording_bind)
+    monkeypatch.setattr(_Grading, "bind", recording_bind)
     monkeypatch.setattr(KoszulOracle, "_removals", recording_removals)
     tor_over_S(family("sl", 3), workers=1)
     assert read
@@ -894,12 +895,12 @@ def test_tor_checks_each_map_it_binds_once(monkeypatch):
 def test_basis_without_a_nonzero_piece_asks_for_no_coordinates(monkeypatch):
     f = family("sl", 3)
     ring = ring_for_family(f)
-    kept = KoszulOracle(ring, oracle._torus_grading(ring, f.torus_weights))
+    kept = KoszulOracle(ring, _torus_grading(ring, f.torus_weights))
 
     def refused(self, w, eps_weight):
         raise AssertionError(f"kept asked for {w}")
 
-    monkeypatch.setattr(oracle._Grading, "kept", refused)
+    monkeypatch.setattr(_Grading, "kept", refused)
     # i > total(v): every piece v - deg eps lies outside the quadrant
     assert kept.basis(4, (1, 1)) == ([], [])
     # every piece v - deg eps, (1, 3), (2, 2) and (3, 1), is zero for sl_3
@@ -909,7 +910,7 @@ def test_basis_without_a_nonzero_piece_asks_for_no_coordinates(monkeypatch):
 
 def test_basis_asks_for_each_weight_class_once(monkeypatch):
     asked = []  # per basis call, the (w, eps weight) of each kept call
-    kept, basis = oracle._Grading.kept, KoszulOracle.basis
+    kept, basis = _Grading.kept, KoszulOracle.basis
 
     def recording_kept(self, w, eps_weight):
         assert self.ring.dim(w)
@@ -920,7 +921,7 @@ def test_basis_asks_for_each_weight_class_once(monkeypatch):
         asked.append([])
         return basis(self, i, v)
 
-    monkeypatch.setattr(oracle._Grading, "kept", recording_kept)
+    monkeypatch.setattr(_Grading, "kept", recording_kept)
     monkeypatch.setattr(KoszulOracle, "basis", recording_basis)
     tor_over_S(family("sl", 3), workers=1)
     assert max(map(len, asked)) > 1
@@ -932,7 +933,7 @@ def matrices_digest(f, fld, graded: bool) -> str:
     of every ``columns(i, v)``, i >= 1, total(v) <= i + 3, under the torus
     grading or the trivial one."""
     ring = ring_for_family(f, fld)
-    kept = KoszulOracle(ring, oracle._torus_grading(ring, f.torus_weights)
+    kept = KoszulOracle(ring, _torus_grading(ring, f.torus_weights)
                         if graded else None)
     digest = hashlib.sha256()
     for i in range(ring.nvars + 1):

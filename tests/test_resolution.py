@@ -19,7 +19,8 @@ from momentkoszul.fields import GF, QQ
 from momentkoszul.ideals import family
 from momentkoszul.linalg import InvalidInputError
 from momentkoszul.monomials import basis_index, bidegrees_up_to_total, total
-from momentkoszul.oracle import _Grading, hilbert_oracle
+from momentkoszul.grading import _Grading
+from momentkoszul.oracle import hilbert_oracle
 from momentkoszul.quotient import ring_for_family
 from momentkoszul.resolution import resolve_k_over_quotient
 from momentkoszul.verify import table_poincare_totals
